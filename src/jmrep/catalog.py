@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import NotInWedge3, NotSymplectic
+from .jsonio import _genus_of, _int_list, _require
 from .linalg import SymplecticMatrix
 from .membership import handlebody_membership, handlebody_sp_check
 from .rho2 import tau2_from_endo
@@ -90,24 +91,24 @@ def validate_entry(entry: CatalogEntry) -> ValidationReport:
     return ValidationReport(entry.name, tuple(failures))
 
 
-def entry_from_dict(doc: dict) -> CatalogEntry:
+def entry_from_dict(doc) -> CatalogEntry:
     """Build an entry from its JSON form.
 
     The schema is {"name", "genus", "images", "inverse_images",
     "claimed_handlebody"} with each image a list of nonzero letters.
     """
+    genus = _genus_of(doc)
     name = doc["name"]
-    if not isinstance(name, str) or not name:
-        raise ValueError("entry name must be a nonempty string")
-    genus = doc["genus"]
-    if not isinstance(genus, int) or genus < 1:
-        raise ValueError("entry genus must be a positive integer")
-    spec = EndomorphismSpec.from_letter_lists(genus, doc["images"])
-    inverse = EndomorphismSpec.from_letter_lists(genus, doc["inverse_images"])
+    _require(isinstance(name, str) and bool(name), "entry name must be a nonempty string")
+    specs = []
+    for key in ("images", "inverse_images"):
+        images = doc[key]
+        _require(isinstance(images, list), f"'{key}' must be an array")
+        lists = [_int_list(w, f"each of '{key}'") for w in images]
+        specs.append(EndomorphismSpec.from_letter_lists(genus, lists))
     claimed = doc["claimed_handlebody"]
-    if not isinstance(claimed, bool):
-        raise ValueError("claimed_handlebody must be a boolean")
-    return CatalogEntry(name, spec, inverse, claimed)
+    _require(isinstance(claimed, bool), "claimed_handlebody must be a boolean")
+    return CatalogEntry(name, specs[0], specs[1], claimed)
 
 
 def entry_to_dict(entry: CatalogEntry) -> dict:

@@ -19,6 +19,7 @@ import sys
 from .catalog import catalog, entry_from_dict, validate_entry
 from .errors import JmrepError
 from .jsonio import (
+    _genus_of,
     canonical_dumps,
     decode_endo,
     decode_phi2,
@@ -32,7 +33,7 @@ from .membership import (
     canonical_lift,
     compute_E,
     handlebody_failures,
-    mcg_membership,
+    mcg_odd_triples,
     torelli_handlebody_basis,
 )
 from .phi2 import phi2_b_membership, phi2_inv, phi2_mul, phi2_pi_membership
@@ -60,13 +61,6 @@ def _emit(doc) -> None:
     sys.stdout.write(canonical_dumps(doc) + "\n")
 
 
-def _genus_doc(doc) -> int:
-    if not isinstance(doc, dict) or not isinstance(doc.get("genus"), int) \
-            or isinstance(doc.get("genus"), bool) or doc["genus"] < 1:
-        raise ValueError("expected an object with a positive integer 'genus'")
-    return doc["genus"]
-
-
 def _group_element(doc):
     if isinstance(doc, dict) and "r" in doc and "R" in doc:
         return "rho2", decode_rho2(doc)
@@ -78,9 +72,7 @@ def _group_element(doc):
 # ---------------------------------------------------------------- verbs
 
 def _cmd_check_mcg(args) -> int:
-    f = decode_rho2(_load([args.element])[0])
-    E = compute_E(f.R)
-    odd = sorted(t for t, e in E.items() if (f.r.twice(*t) - e) % 2 != 0)
+    odd = mcg_odd_triples(decode_rho2(_load([args.element])[0]))
     member = not odd
     _emit({"member": member, "E_odd_triples": [list(t) for t in odd]})
     return 0 if member else 1
@@ -172,14 +164,14 @@ def _cmd_validate_entry(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    g = _genus_doc(_load([args.genus])[0])
+    g = _genus_of(_load([args.genus])[0])
     basis = torelli_handlebody_basis(g)
     _emit({"genus": g, "basis": [encode_rho2(f) for f in basis]})
     return 0
 
 
 def _cmd_catalog_list(args) -> int:
-    g = _genus_doc(_load([args.genus])[0])
+    g = _genus_of(_load([args.genus])[0])
     entries = catalog(g)
     _emit({"genus": g, "entries": [
         {"name": c.name, "claimed_handlebody": c.claimed_handlebody}

@@ -50,10 +50,16 @@ def compute_E(R: SymplecticMatrix) -> dict:
     return E
 
 
+def mcg_odd_triples(f: Rho2Element) -> list:
+    """Sorted triples i < j < k whose doubled coefficient of r differs from
+    E_ijk mod 2; these witness that (r, R) is not a mapping-class value."""
+    E = compute_E(f.R)
+    return sorted(t for t, e in E.items() if (f.r.twice(*t) - e) % 2)
+
+
 def mcg_membership(f: Rho2Element) -> bool:
     """True iff (r, R) is the degree-two value of some mapping class."""
-    E = compute_E(f.R)
-    return all((f.r.twice(*t) - e) % 2 == 0 for t, e in E.items())
+    return not mcg_odd_triples(f)
 
 
 def canonical_lift(R: SymplecticMatrix) -> Rho2Element:

@@ -12,14 +12,21 @@ The bridge between W3(H) and Hom(H, (1/2)W2(H)) is
     (x_i ^ x_j ^ x_k)(y) = <y,x_k> x_i^x_j + <y,x_i> x_j^x_k + <y,x_j> x_k^x_i
 
 extended linearly, with <u, v> the intersection pairing from linalg.
-wedge3_decode inverts this embedding exactly (or raises NotInWedge3).
+
+wedge3_decode inverts this embedding in closed form.  The symplectic dual
+of x_k is y_k = -x_(k+g) for k <= g and y_k = x_(k-g) otherwise, so
+<y_k, x_l> = delta_kl and the x_i^x_j coefficient (j < k) of the image of
+y_k is exactly r_ijk.  These read-off values are the doubled coefficients
+themselves, so the decode is exact with no division, and it shows the
+embedding is injective.  Re-embedding the read-off and comparing with the
+input is the membership test: a homomorphism that is not induced by any
+element of (1/2)W3(H) fails it and raises NotInWedge3.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .errors import GenusMismatch, NotInWedge3
@@ -70,108 +77,34 @@ def _build_twice(genus, terms, arity):
     return {k: v for k, v in out.items() if v}
 
 
-class Wedge2:
-    """Element of (1/2)W2(H): sparse map from pairs (i<j) to doubled coefficients."""
+class _Wedge:
+    """Sparse map from strictly increasing index tuples of a fixed arity to
+    doubled coefficients; Wedge2 and Wedge3 fix the arity."""
 
     __slots__ = ("genus", "_twice")
+    ARITY = 0
 
     def __init__(self, genus: int, terms=()):
         if genus < 1:
             raise ValueError("genus must be >= 1")
         self.genus = genus
-        self._twice = _build_twice(genus, terms, 2)
+        self._twice = _build_twice(genus, terms, self.ARITY)
 
     @classmethod
-    def zero(cls, genus: int) -> "Wedge2":
+    def zero(cls, genus: int):
         return cls(genus)
 
     @classmethod
-    def basis(cls, genus: int, i: int, j: int) -> "Wedge2":
-        """The integral element x_i ^ x_j (coefficient 1, so twice = 2)."""
-        return cls(genus, {(i, j): 2})
+    def basis(cls, genus: int, *idx: int):
+        """The integral element x_i ^ x_j (^ x_k) (coefficient 1, so twice = 2)."""
+        return cls(genus, {idx: 2})
 
-    def twice(self, i: int, j: int) -> int:
-        """Doubled coefficient of x_i ^ x_j (i < j)."""
-        return self._twice.get((i, j), 0)
-
-    def terms(self):
-        """Sorted tuple of ((i, j), doubled coefficient), zero terms omitted."""
-        return tuple(sorted(self._twice.items()))
-
-    def is_zero(self) -> bool:
-        return not self._twice
-
-    def is_integral(self) -> bool:
-        return all(t % 2 == 0 for t in self._twice.values())
-
-    def _check(self, other):
-        if not isinstance(other, Wedge2):
-            raise TypeError(f"expected Wedge2, got {type(other).__name__}")
-        if other.genus != self.genus:
-            raise GenusMismatch(f"genus {self.genus} vs {other.genus}")
-
-    def __add__(self, other: "Wedge2") -> "Wedge2":
-        self._check(other)
-        out = dict(self._twice)
-        for k, t in other._twice.items():
-            out[k] = out.get(k, 0) + t
-        return Wedge2(self.genus, out)
-
-    def __sub__(self, other: "Wedge2") -> "Wedge2":
-        self._check(other)
-        out = dict(self._twice)
-        for k, t in other._twice.items():
-            out[k] = out.get(k, 0) - t
-        return Wedge2(self.genus, out)
-
-    def __neg__(self) -> "Wedge2":
-        return Wedge2(self.genus, {k: -t for k, t in self._twice.items()})
-
-    def __rmul__(self, n: int) -> "Wedge2":
-        if isinstance(n, bool) or not isinstance(n, int):
-            return NotImplemented
-        return Wedge2(self.genus, {k: n * t for k, t in self._twice.items()})
-
-    __mul__ = __rmul__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Wedge2)
-            and self.genus == other.genus
-            and self._twice == other._twice
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Wedge2", self.genus, frozenset(self._twice.items())))
-
-    def __repr__(self) -> str:
-        return f"Wedge2(g={self.genus}: {_fmt_terms(self._twice, self.genus)})"
-
-
-class Wedge3:
-    """Element of (1/2)W3(H): sparse map from triples (i<j<k) to doubled coefficients."""
-
-    __slots__ = ("genus", "_twice")
-
-    def __init__(self, genus: int, terms=()):
-        if genus < 1:
-            raise ValueError("genus must be >= 1")
-        self.genus = genus
-        self._twice = _build_twice(genus, terms, 3)
-
-    @classmethod
-    def zero(cls, genus: int) -> "Wedge3":
-        return cls(genus)
-
-    @classmethod
-    def basis(cls, genus: int, i: int, j: int, k: int) -> "Wedge3":
-        """The integral element x_i ^ x_j ^ x_k (coefficient 1, so twice = 2)."""
-        return cls(genus, {(i, j, k): 2})
-
-    def twice(self, i: int, j: int, k: int) -> int:
-        return self._twice.get((i, j, k), 0)
+    def twice(self, *idx: int) -> int:
+        """Doubled coefficient of x_i ^ x_j (^ x_k), indices increasing."""
+        return self._twice.get(idx, 0)
 
     def terms(self):
+        """Sorted tuple of (index tuple, doubled coefficient), zero terms omitted."""
         return tuple(sorted(self._twice.items()))
 
     def is_zero(self) -> bool:
@@ -182,64 +115,61 @@ class Wedge3:
         return all(t % 2 == 0 for t in self._twice.values())
 
     def _check(self, other):
-        if not isinstance(other, Wedge3):
-            raise TypeError(f"expected Wedge3, got {type(other).__name__}")
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if other.genus != self.genus:
             raise GenusMismatch(f"genus {self.genus} vs {other.genus}")
 
-    def __add__(self, other: "Wedge3") -> "Wedge3":
+    def __add__(self, other):
         self._check(other)
         out = dict(self._twice)
         for k, t in other._twice.items():
             out[k] = out.get(k, 0) + t
-        return Wedge3(self.genus, out)
+        return type(self)(self.genus, out)
 
-    def __sub__(self, other: "Wedge3") -> "Wedge3":
+    def __sub__(self, other):
         self._check(other)
         out = dict(self._twice)
         for k, t in other._twice.items():
             out[k] = out.get(k, 0) - t
-        return Wedge3(self.genus, out)
+        return type(self)(self.genus, out)
 
-    def __neg__(self) -> "Wedge3":
-        return Wedge3(self.genus, {k: -t for k, t in self._twice.items()})
+    def __neg__(self):
+        return type(self)(self.genus, {k: -t for k, t in self._twice.items()})
 
-    def __rmul__(self, n: int) -> "Wedge3":
+    def __rmul__(self, n: int):
         if isinstance(n, bool) or not isinstance(n, int):
             return NotImplemented
-        return Wedge3(self.genus, {k: n * t for k, t in self._twice.items()})
+        return type(self)(self.genus, {k: n * t for k, t in self._twice.items()})
 
     __mul__ = __rmul__
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Wedge3)
+            isinstance(other, type(self))
             and self.genus == other.genus
             and self._twice == other._twice
         )
 
     def __hash__(self) -> int:
-        return hash(("Wedge3", self.genus, frozenset(self._twice.items())))
+        return hash((type(self).__name__, self.genus, frozenset(self._twice.items())))
 
     def __repr__(self) -> str:
-        return f"Wedge3(g={self.genus}: {_fmt_terms(self._twice, self.genus)})"
+        return f"{type(self).__name__}(g={self.genus}: {_fmt_terms(self._twice, self.genus)})"
 
 
-def wedge2_of(u: HVector, v: HVector) -> Wedge2:
-    """The integral product u ^ v; coefficient of x_i^x_j is u_i v_j - u_j v_i."""
-    if u.genus != v.genus:
-        raise GenusMismatch(f"genus {u.genus} vs {v.genus}")
-    n = 2 * u.genus
-    uc, vc = u.coeffs, v.coeffs
-    out = {}
-    for i in range(n):
-        if not (uc[i] or vc[i]):
-            continue
-        for j in range(i + 1, n):
-            c = uc[i] * vc[j] - uc[j] * vc[i]
-            if c:
-                out[(i + 1, j + 1)] = 2 * c
-    return Wedge2(u.genus, out)
+class Wedge2(_Wedge):
+    """Element of (1/2)W2(H): sparse map from pairs (i<j) to doubled coefficients."""
+
+    __slots__ = ()
+    ARITY = 2
+
+
+class Wedge3(_Wedge):
+    """Element of (1/2)W3(H): sparse map from triples (i<j<k) to doubled coefficients."""
+
+    __slots__ = ()
+    ARITY = 3
 
 
 def half_wedge2_of(u: HVector, v: HVector) -> Wedge2:
@@ -257,6 +187,11 @@ def half_wedge2_of(u: HVector, v: HVector) -> Wedge2:
             if c:
                 out[(i + 1, j + 1)] = c
     return Wedge2(u.genus, out)
+
+
+def wedge2_of(u: HVector, v: HVector) -> Wedge2:
+    """The integral product u ^ v; coefficient of x_i^x_j is u_i v_j - u_j v_i."""
+    return 2 * half_wedge2_of(u, v)
 
 
 def _det3(a, b, c, p, q, r):
@@ -480,92 +415,32 @@ def sp_action_on_hom(R: SymplecticMatrix, m: HomHW2) -> HomHW2:
     return pushed.precompose(R.inverse())
 
 
-def _pairs(n):
-    return list(itertools.combinations(range(1, n + 1), 2))
-
-
-def _triples(n):
-    return list(itertools.combinations(range(1, n + 1), 3))
-
-
-def _fraction_inverse(M):
-    """Gauss-Jordan inverse of a square Fraction matrix (raises on singular)."""
-    n = len(M)
-    A = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        A[col], A[piv] = A[piv], A[col]
-        inv = Fraction(1) / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
-
-
-@lru_cache(maxsize=None)
-def _decode_solver(genus: int):
-    """Precompute an exact left inverse of the W3 embedding for this genus.
-
-    Rows of the system are indexed by (basis vector n, pair (p, q)); columns
-    by basis triples.  Entries are the integer coefficients of the embedding,
-    in coefficient (not doubled) units.  Returns (triples, row_index, A, P)
-    where P = (A~A)^-1 A~ over Fractions.
-    """
-    n = 2 * genus
-    triples = _triples(n)
-    pairs = _pairs(n)
-    row_index = [(bv, pq) for bv in range(1, n + 1) for pq in pairs]
-    if not triples:
-        return triples, row_index, [], []
-    cols = []
-    for t in triples:
-        h = wedge3_embed(Wedge3.basis(genus, *t))
-        col = []
-        for bv, (p, q) in row_index:
-            tw = h.image_of(bv).twice(p, q)
-            assert tw % 2 == 0
-            col.append(tw // 2)
-        cols.append(col)
-    A = [[cols[c][r] for c in range(len(triples))] for r in range(len(row_index))]
-    At = [[A[r][c] for r in range(len(row_index))] for c in range(len(triples))]
-    AtA = [
-        [Fraction(sum(x * y for x, y in zip(r1, r2))) for r2 in At] for r1 in At
-    ]
-    AtA_inv = _fraction_inverse(AtA)
-    P = [
-        [sum(AtA_inv[i][k] * At[k][j] for k in range(len(triples))) for j in range(len(row_index))]
-        for i in range(len(triples))
-    ]
-    return triples, row_index, A, P
-
-
 def wedge3_decode(m: HomHW2) -> Wedge3:
-    """Exact left inverse of wedge3_embed.
+    """Exact left inverse of wedge3_embed, by reading off the dual basis.
 
-    Solves the linear system over the rationals; raises NotInWedge3 when the
-    system is inconsistent or the solution has a denominator not dividing 2.
+    With y_k = -x_(k+g) for k <= g and y_k = x_(k-g) otherwise, the vector
+    y_k is the symplectic dual of x_k: <y_k, x_l> = delta_kl.  So the
+    x_i^x_j coefficient (j < k) of the embedding of r at y_k is exactly
+    r_ijk.  The read-off values are the doubled coefficients themselves, so
+    no division occurs, and because this read-off is a left inverse the
+    embedding is injective.  The read-off r is then re-embedded: m lies in
+    the image of (1/2)W3(H) iff that gives back m, and otherwise
+    NotInWedge3 names the first basis vector whose image differs.
     """
-    genus = m.genus
-    triples, row_index, A, P = _decode_solver(genus)
-    vec = [m.image_of(bv).twice(p, q) for bv, (p, q) in row_index]
-    if not triples:
-        if any(vec):
-            raise NotInWedge3("nonzero homomorphism but W3(H) is trivial at this genus")
-        return Wedge3.zero(genus)
-    # solution in doubled units: A (t/2) = vec/2  <=>  A t = vec
-    t = []
-    for row in P:
-        val = sum(c * v for c, v in zip(row, vec) if v)
-        if isinstance(val, Fraction):
-            if val.denominator != 1:
-                raise NotInWedge3("solution has denominator beyond 2")
-            val = val.numerator
-        t.append(int(val))
-    for r, row in enumerate(A):
-        if sum(c * x for c, x in zip(row, t)) != vec[r]:
-            raise NotInWedge3("homomorphism is not in the image of W3(H)")
-    return Wedge3(genus, {tr: tv for tr, tv in zip(triples, t) if tv})
+    g = m.genus
+    out = {}
+    for k in range(1, 2 * g + 1):
+        n, sign = (k + g, -1) if k <= g else (k - g, 1)
+        for (i, j), t in m.image_of(n)._twice.items():
+            if j < k:
+                out[(i, j, k)] = sign * t
+    r = Wedge3(g, out)
+    for n, (got, want) in enumerate(zip(m.images, wedge3_embed(r).images), start=1):
+        if got != want:
+            pair = (got - want).terms()[0][0]
+            raise NotInWedge3(
+                f"the value at {basis_label(n, g)} is not that of any element of "
+                f"(1/2)W3(H) (first difference at "
+                f"{'^'.join(basis_label(i, g) for i in pair)})"
+            )
+    return r

@@ -201,6 +201,21 @@ def test_validate_entry_accepts_and_rejects(tmp_path, capsys):
     assert json.loads(out)["failures"]
 
 
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {**entry_to_dict(catalog(2)[0]), "images": [1, 2]},
+    {"name": "t", "genus": True, "images": [[1], [2, 1]],
+     "inverse_images": [[1], [2, -1]], "claimed_handlebody": False},
+], ids=["not_an_object", "images_not_words", "genus_true"])
+def test_validate_entry_rejects_wrong_types(tmp_path, capsys, doc):
+    code = main(["validate-entry", write_doc(tmp_path, "e.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_basis_lists_the_torelli_handlebody_generators(tmp_path, capsys):
     path = write_doc(tmp_path, "g.json", {"genus": 3})
     code, out = run(capsys, ["basis", path])

@@ -17,6 +17,7 @@ from jmrep import (
     basis_vector,
     endo_apply,
     endo_compose,
+    mcg_membership,
     morita_shift,
     morita_tau2_prime,
     phi2_eval_word,
@@ -163,6 +164,16 @@ def test_tau2_rejects_non_boundary_inner_automorphism():
     )
     with pytest.raises(NotInWedge3):
         tau2_from_endo(e)
+
+
+def test_tau2_of_a_genus_five_twist():
+    g = 5
+    # b_i -> b_i a_i for every handle, all other generators fixed
+    images = [[k] for k in range(1, g + 1)] + [[g + i, i] for i in range(1, g + 1)]
+    e = EndomorphismSpec.from_letter_lists(g, images)
+    f = tau2_from_endo(e)
+    assert mcg_membership(f)
+    assert f.R == e.abelianization()
 
 
 @pytest.mark.parametrize("seed", range(4))

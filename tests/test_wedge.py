@@ -8,6 +8,7 @@ from jmrep import (
     SymplecticMatrix,
     Wedge2,
     Wedge3,
+    basis_label,
     basis_vector,
     kappa,
     kappa_hom,
@@ -23,6 +24,7 @@ from jmrep import (
 )
 from helpers import (
     rand_integral_wedge3,
+    rand_member,
     rand_symplectic,
     rand_vector,
     rand_wedge2,
@@ -41,6 +43,12 @@ def test_wedge2_canonical_form_drops_zeros():
     w = Wedge2(2, {(1, 2): 0, (1, 3): 2})
     assert w.terms() == (((1, 3), 2),)
     assert Wedge2(2, {}) == Wedge2.zero(2)
+
+
+def test_wedge2_and_wedge3_are_distinct_types():
+    assert Wedge2.zero(2) != Wedge3.zero(2)
+    with pytest.raises(TypeError):
+        Wedge2.basis(2, 1, 2) + Wedge3.basis(2, 1, 2, 3)
 
 
 def test_wedge2_rejects_bad_indices():
@@ -77,10 +85,10 @@ def test_embed_decode_roundtrip_half_integral():
     assert wedge3_decode(wedge3_embed(r)) == r
 
 
-@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("seed", range(12))
 def test_embed_decode_roundtrip_random(seed):
     rng = random.Random(400 + seed)
-    g = rng.choice((2, 3))
+    g = 2 + seed % 4
     r = rand_wedge3(rng, g)
     assert wedge3_decode(wedge3_embed(r)) == r
 
@@ -94,6 +102,18 @@ def test_decode_rejects_lone_image():
     images = [Wedge2.zero(g) for _ in range(2 * g)]
     images[0] = Wedge2(g, {(1, 3): 2})
     with pytest.raises(NotInWedge3):
+        wedge3_decode(HomHW2(images))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_decode_names_the_perturbed_basis_vector(n):
+    g = 3
+    r = rand_member(random.Random(450 + n), g).r
+    images = list(wedge3_embed(r).images)
+    # x_1^x_6 is a pair the dual-basis read-off never takes from this image,
+    # so the read-off is still r and only the image of x_n differs
+    images[n - 1] = images[n - 1] + Wedge2.basis(g, 1, 2 * g)
+    with pytest.raises(NotInWedge3, match=f"value at {basis_label(n, g)} "):
         wedge3_decode(HomHW2(images))
 
 
