@@ -8,6 +8,11 @@ that appears in a public signature is 1-based to match that notation.
 All arithmetic uses plain Python integers, so results are exact at any size.
 The intersection pairing is <u, v> = v~ J u (v~ = transpose), which makes
 <a_i, b_i> = +1 and gives the contraction identity <R x_n, x_k> = (JR)_kn.
+
+No routine here multiplies by J: it only swaps the a- and b-blocks with a sign.  The
+symplectic check compares (M J M~)_ab = sum_k (M_a,k+g M_b,k - M_a,k M_b,k+g)
+with J_ab for a < b, and the inverse of M = (S T; P Q) in g x g blocks is
+(Q~ -T~; -P~ S~).
 """
 
 from __future__ import annotations
@@ -215,10 +220,25 @@ def make_C(genus: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
+def _symplectic_defect(M: IntMatrix):
+    """The first (a, b, (M J M~)_ab, J_ab) with a < b (1-based) where the two
+    differ, or None; M J M~ is antisymmetric like J, so a < b suffices."""
+    g = M.genus
+    rows = M.rows
+    for a, ra in enumerate(rows):
+        lo, hi = ra[:g], ra[g:]
+        for b in range(a + 1, 2 * g):
+            rb = rows[b]
+            got = sum(x * y for x, y in zip(hi, rb)) - sum(x * y for x, y in zip(lo, rb[g:]))
+            want = -1 if b == a + g else 0
+            if got != want:
+                return a + 1, b + 1, got, want
+    return None
+
+
 def symplectic_check(M: IntMatrix) -> bool:
     """True iff M J M~ = J, i.e. M preserves the intersection pairing."""
-    J = make_J(M.genus)
-    return M * J * M.transpose() == J
+    return _symplectic_defect(M) is None
 
 
 class SymplecticMatrix(IntMatrix):
@@ -229,18 +249,25 @@ class SymplecticMatrix(IntMatrix):
     def __init__(self, rows):
         super().__init__(rows)
         if not symplectic_check(self):
-            raise NotSymplectic("matrix fails M J M~ = J")
+            a, b, got, want = _symplectic_defect(self)
+            raise NotSymplectic(
+                f"matrix fails M J M~ = J: entry ({a}, {b}) of M J M~ is {got}, "
+                f"of J is {want}"
+            )
 
     def inverse(self) -> "SymplecticMatrix":
         return symplectic_inverse(self)
 
 
 def symplectic_inverse(M: SymplecticMatrix) -> SymplecticMatrix:
-    """Exact inverse via M^-1 = J M~ J^-1, with J^-1 = -J."""
+    """Exact inverse (S T; P Q)^-1 = (Q~ -T~; -P~ S~), i.e. -J M~ J, in g x g blocks."""
     if not isinstance(M, SymplecticMatrix):
         raise NotSymplectic("symplectic_inverse needs a SymplecticMatrix")
-    J = make_J(M.genus)
-    return SymplecticMatrix((-(J * M.transpose() * J)).rows)
+    g = M.genus
+    cols = tuple(zip(*M.rows))
+    top = [col[g:] + tuple(-x for x in col[:g]) for col in cols[g:]]
+    bottom = [tuple(-x for x in col[g:]) + col[:g] for col in cols[:g]]
+    return SymplecticMatrix(top + bottom)
 
 
 class BlockConstraints(NamedTuple):

@@ -20,13 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import (
-    SymplecticMatrix,
-    basis_vector,
-    make_J,
-    triple_dot,
-    zero_vector,
-)
+from .linalg import SymplecticMatrix, basis_vector, triple_dot, zero_vector
 from .phi2 import Phi2Element, phi2_b_membership
 from .rho2 import Rho2Element, act_on_phi2, rho2_inv
 from .wedge import Wedge2, Wedge3
@@ -36,12 +30,13 @@ def compute_E(R: SymplecticMatrix) -> dict:
     """The complete map (i, j, k) -> E_ijk over all triples i < j < k."""
     if not isinstance(R, SymplecticMatrix):
         raise TypeError("compute_E needs a SymplecticMatrix")
-    n = 2 * R.genus
-    RJ = R * make_J(R.genus)
+    g = R.genus
+    # J as a signed block swap: row i of RJ is (row_i(R)[g:], -row_i(R)[:g])
+    RJ = [row[g:] + tuple(-x for x in row[:g]) for row in R.rows]
     E = {}
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+    for i, j, k in itertools.combinations(range(1, 2 * g + 1), 3):
         ri, rj, rk = R.row(i), R.row(j), R.row(k)
-        si, sj, sk = RJ.row(i), RJ.row(j), RJ.row(k)
+        si, sj, sk = RJ[i - 1], RJ[j - 1], RJ[k - 1]
         E[(i, j, k)] = (
             triple_dot(si, rj, rk)
             - triple_dot(ri, sj, rk)

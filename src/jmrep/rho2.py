@@ -32,13 +32,7 @@ wedge3_decode raises NotInWedge3).
 from __future__ import annotations
 
 from .errors import GenusMismatch, NotSymplectic
-from .linalg import (
-    HVector,
-    IntMatrix,
-    SymplecticMatrix,
-    basis_vector,
-    symplectic_check,
-)
+from .linalg import HVector, SymplecticMatrix, basis_vector
 from .phi2 import Phi2Element, phi2_eval_word
 from .wedge import (
     HomHW2,
@@ -138,16 +132,12 @@ def tau2_tilde_from_endo(endo: EndomorphismSpec):
     with columns h_i.  Raises NotSymplectic if R fails the symplectic
     identity.
     """
-    g = endo.genus
     pairs = [phi2_eval_word(w) for w in endo.images]
-    n = 2 * g
-    rows = tuple(
-        tuple(pairs[col].y.coeffs[row] for col in range(n)) for row in range(n)
-    )
-    M = IntMatrix(rows)
-    if not symplectic_check(M):
-        raise NotSymplectic("endomorphism abelianization is not symplectic")
-    return HomHW2(tuple(p.eta for p in pairs)), SymplecticMatrix(rows)
+    try:
+        R = SymplecticMatrix(zip(*(p.y.coeffs for p in pairs)))
+    except NotSymplectic as exc:
+        raise NotSymplectic("endomorphism abelianization is not symplectic") from exc
+    return HomHW2(tuple(p.eta for p in pairs)), R
 
 
 def tau2_from_endo(endo: EndomorphismSpec) -> Rho2Element:

@@ -21,11 +21,15 @@ themselves, so the decode is exact with no division, and it shows the
 embedding is injective.  Re-embedding the read-off and comparing with the
 input is the membership test: a homomorphism that is not induced by any
 element of (1/2)W3(H) fails it and raises NotInWedge3.
+
+R acts on W3(H) through Lambda^2 R: grouping r by
+first index, r = sum_i x_i ^ rho_i with rho_i = sum_(j<k) r_ijk x_j^x_k, and
+R r = sum_i R x_i ^ (Lambda^2 R)(rho_i), where (Lambda^2 R)(rho_i) =
+sum_j R x_j ^ R(sum_k r_ijk x_k) is accumulated in a dense array.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -194,29 +198,17 @@ def wedge2_of(u: HVector, v: HVector) -> Wedge2:
     return 2 * half_wedge2_of(u, v)
 
 
-def _det3(a, b, c, p, q, r):
-    # determinant of the 3x3 matrix with rows taken from columns a,b,c at
-    # positions p,q,r (0-based)
-    return (
-        a[p] * (b[q] * c[r] - b[r] * c[q])
-        - b[p] * (a[q] * c[r] - a[r] * c[q])
-        + c[p] * (a[q] * b[r] - a[r] * b[q])
-    )
-
-
 def wedge3_of(u: HVector, v: HVector, w: HVector) -> Wedge3:
     """The integral product u ^ v ^ w; coefficients are 3x3 minors."""
     if not (u.genus == v.genus == w.genus):
         raise GenusMismatch("mixed genera in wedge3_of")
     n = 2 * u.genus
-    uc, vc, wc = u.coeffs, v.coeffs, w.coeffs
+    A = [[0] * n for _ in range(n)]
+    for (i, j), t in half_wedge2_of(u, v)._twice.items():
+        A[i - 1][j - 1] = t
     out = {}
-    support = [i for i in range(n) if uc[i] or vc[i] or wc[i]]
-    for p, q, r in itertools.combinations(support, 3):
-        d = _det3(uc, vc, wc, p, q, r)
-        if d:
-            out[(p + 1, q + 1, r + 1)] = 2 * d
-    return Wedge3(u.genus, out)
+    _add_vector_wedge(w.coeffs, A, out)
+    return 2 * Wedge3(u.genus, out)
 
 
 def kappa(y: HVector) -> Wedge2:
@@ -271,15 +263,14 @@ class HomHW2:
         """The homomorphism m o M, i.e. x_n -> m(M x_n)."""
         if M.genus != self.genus:
             raise GenusMismatch(f"genus {self.genus} vs {M.genus}")
-        n = 2 * self.genus
         new = []
-        for col in range(1, n + 1):
-            acc = Wedge2.zero(self.genus)
-            for i in range(1, n + 1):
-                c = M.entry(i, col)
+        for col in zip(*M.rows):
+            acc = {}
+            for c, img in zip(col, self.images):
                 if c:
-                    acc = acc + c * self.images[i - 1]
-            new.append(acc)
+                    for key, t in img._twice.items():
+                        acc[key] = acc.get(key, 0) + c * t
+            new.append(Wedge2(self.genus, acc))
         return HomHW2(new)
 
     def _check(self, other):
@@ -365,22 +356,52 @@ def wedge3_embed(r: Wedge3) -> HomHW2:
     )
 
 
+def _lambda2(cols, terms):
+    """Dense upper-triangular A with A[p][q] the x_(p+1)^x_(q+1) coefficient of
+    sum t R x_j ^ R x_k over terms ((j, k), t); cols[j - 1] is R x_j."""
+    n = len(cols)
+    images = {}  # j -> R(sum_k t x_k)
+    for (j, k), t in terms:
+        images[j] = [a + t * b for a, b in zip(images.get(j, [0] * n), cols[k - 1])]
+    A = [[0] * n for _ in range(n)]
+    for j, u in images.items():
+        live_u = [(q, uq) for q, uq in enumerate(u) if uq]
+        for p, cp in enumerate(cols[j - 1]):
+            if cp:
+                Ap = A[p]
+                for q, uq in live_u:
+                    if q > p:
+                        Ap[q] += cp * uq
+                    elif q < p:
+                        A[q][p] -= cp * uq
+    return A
+
+
+def _add_vector_wedge(c, A, out):
+    """Add the coefficients of c ^ A (in the scale of A) to out, keyed by 1-based
+    triples: c_p A_qs - c_q A_ps + c_s A_pq at p<q<s, over indices where c or A is live."""
+    live = [p for p, (cp, row, col) in enumerate(zip(c, A, zip(*A))) if cp or any(row) or any(col)]
+    for x, p in enumerate(live):
+        cp, Ap = c[p], A[p]
+        for y in range(x + 1, len(live)):
+            q = live[y]
+            cq, Aq, Apq = c[q], A[q], Ap[q]
+            for s in live[y + 1:]:
+                v = cp * Aq[s] - cq * Ap[s] + c[s] * Apq
+                if v:
+                    key = (p + 1, q + 1, s + 1)
+                    out[key] = out.get(key, 0) + v
+
+
 def wedge2_sp_action(R: IntMatrix, w: Wedge2) -> Wedge2:
     """R acting on W2(H): x_i ^ x_j -> (R x_i) ^ (R x_j), extended linearly."""
     if R.genus != w.genus:
         raise GenusMismatch(f"genus {R.genus} vs {w.genus}")
-    n = 2 * w.genus
-    out = {}
-    for (i, j), t in w._twice.items():
-        ci = R.col(i)
-        cj = R.col(j)
-        for p in range(n):
-            for q in range(p + 1, n):
-                c = ci[p] * cj[q] - ci[q] * cj[p]
-                if c:
-                    key = (p + 1, q + 1)
-                    out[key] = out.get(key, 0) + t * c
-    return Wedge2(w.genus, out)
+    A = _lambda2(tuple(zip(*R.rows)), w._twice.items())
+    return Wedge2(
+        w.genus,
+        {(p + 1, q + 1): a for p, row in enumerate(A) for q, a in enumerate(row) if a},
+    )
 
 
 def wedge3_sp_action(R: IntMatrix, r: Wedge3) -> Wedge3:
@@ -391,17 +412,13 @@ def wedge3_sp_action(R: IntMatrix, r: Wedge3) -> Wedge3:
     """
     if R.genus != r.genus:
         raise GenusMismatch(f"genus {R.genus} vs {r.genus}")
-    n = 2 * r.genus
-    cols = [R.col(j + 1) for j in range(n)]
-    out = {}
+    cols = tuple(zip(*R.rows))
+    rho = {}
     for (i, j, k), t in r._twice.items():
-        ci, cj, ck = cols[i - 1], cols[j - 1], cols[k - 1]
-        support = [p for p in range(n) if ci[p] or cj[p] or ck[p]]
-        for p, q, s in itertools.combinations(support, 3):
-            d = _det3(ci, cj, ck, p, q, s)
-            if d:
-                key = (p + 1, q + 1, s + 1)
-                out[key] = out.get(key, 0) + t * d
+        rho.setdefault(i, []).append(((j, k), t))
+    out = {}
+    for i, terms in rho.items():
+        _add_vector_wedge(cols[i - 1], _lambda2(cols, terms), out)
     return Wedge3(r.genus, out)
 
 

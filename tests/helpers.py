@@ -10,6 +10,7 @@ from jmrep import (
     EndomorphismSpec,
     FreeWord,
     HVector,
+    IntMatrix,
     Phi2Element,
     Rho2Element,
     SymplecticMatrix,
@@ -19,6 +20,7 @@ from jmrep import (
     canonical_lift,
     catalog,
     endo_compose,
+    make_J,
     phi2_eval_word,
     transvection,
 )
@@ -106,3 +108,55 @@ def rand_pi_point(rng, g, max_len=12):
 
 def rand_phi2(rng, g, bound=3):
     return Phi2Element(rand_wedge2(rng, g, bound), rand_vector(rng, g, bound))
+
+
+# ---------------------------------------------------------------- reference oracles
+# Direct transcriptions of the definitions, kept as the reference that the
+# structure-aware kernels in jmrep.wedge and jmrep.linalg are compared against.
+
+
+def _det3(a, b, c, p, q, r):
+    # minor of the columns a, b, c at rows p, q, r (0-based)
+    return (
+        a[p] * (b[q] * c[r] - b[r] * c[q])
+        - b[p] * (a[q] * c[r] - a[r] * c[q])
+        + c[p] * (a[q] * b[r] - a[r] * b[q])
+    )
+
+
+def ref_wedge2_sp_action(R, w):
+    """R(x_i ^ x_j) = Rx_i ^ Rx_j by 2x2 minors, term by term."""
+    n = 2 * w.genus
+    out = {}
+    for (i, j), t in w.terms():
+        ci, cj = R.col(i), R.col(j)
+        for p, q in itertools.combinations(range(n), 2):
+            c = ci[p] * cj[q] - ci[q] * cj[p]
+            if c:
+                out[(p + 1, q + 1)] = out.get((p + 1, q + 1), 0) + t * c
+    return Wedge2(w.genus, out)
+
+
+def ref_wedge3_sp_action(R, r):
+    """R(x_i ^ x_j ^ x_k) = Rx_i ^ Rx_j ^ Rx_k by 3x3 minors, term by term."""
+    n = 2 * r.genus
+    out = {}
+    for (i, j, k), t in r.terms():
+        ci, cj, ck = R.col(i), R.col(j), R.col(k)
+        for p, q, s in itertools.combinations(range(n), 3):
+            d = _det3(ci, cj, ck, p, q, s)
+            if d:
+                key = (p + 1, q + 1, s + 1)
+                out[key] = out.get(key, 0) + t * d
+    return Wedge3(r.genus, out)
+
+
+def ref_symplectic_form(M):
+    """The matrix M J M~, by two products with J."""
+    return M * make_J(M.genus) * M.transpose()
+
+
+def ref_symplectic_inverse(M):
+    """-J M~ J, the inverse of a symplectic M since J^-1 = -J."""
+    J = make_J(M.genus)
+    return IntMatrix((-(J * M.transpose() * J)).rows)

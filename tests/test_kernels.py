@@ -1,0 +1,140 @@
+"""The structure-aware Sp kernels against their definitions.
+
+wedge2_sp_action / wedge3_sp_action go through Lambda^2 R; the oracles in
+helpers expand every term by minors.  symplectic_check and
+symplectic_inverse apply J as a signed block swap; the oracles multiply by J.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from jmrep import (
+    IntMatrix,
+    NotSymplectic,
+    SymplecticMatrix,
+    Wedge2,
+    Wedge3,
+    make_J,
+    symplectic_check,
+    symplectic_inverse,
+    wedge2_sp_action,
+    wedge3_sp_action,
+)
+from helpers import (
+    rand_symplectic,
+    rand_wedge2,
+    rand_wedge3,
+    ref_symplectic_form,
+    ref_symplectic_inverse,
+    ref_wedge2_sp_action,
+    ref_wedge3_sp_action,
+)
+
+ACTIONS = {2: (wedge2_sp_action, rand_wedge2), 3: (wedge3_sp_action, rand_wedge3)}
+
+
+def twist_matrix(rng, g):
+    """A sparse symplectic (I 0; S I) with S symmetric: one diagonal entry of S,
+    or one cross-handle pair S_ij = S_ji."""
+    n = 2 * g
+    rows = [[int(p == q) for q in range(n)] for p in range(n)]
+    i, j = rng.randrange(g), rng.randrange(g)
+    e = rng.choice((-1, 1))
+    rows[g + i][j] = rows[g + j][i] = e
+    return SymplecticMatrix(rows)
+
+
+def sparse_wedge(rng, g, k):
+    """At most two terms of arity k; zero when there are no k-tuples (k = 3, g = 1)."""
+    tuples = list(itertools.combinations(range(1, 2 * g + 1), k))
+    picks = rng.sample(tuples, min(2, len(tuples)))
+    return {2: Wedge2, 3: Wedge3}[k](g, {t: rng.choice((-3, -1, 1, 2)) for t in picks})
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_kernels_match_the_minor_expansion(g):
+    rng = random.Random(100 + g)
+    dense_rounds = 3 if g <= 4 else 1
+    cases = [(twist_matrix(rng, g), sparse_wedge(rng, g, 2), sparse_wedge(rng, g, 3))
+             for _ in range(3)]
+    cases += [(rand_symplectic(rng, g, length=6), rand_wedge2(rng, g), rand_wedge3(rng, g))
+              for _ in range(dense_rounds)]
+    for R, w, r in cases:
+        assert wedge2_sp_action(R, w) == ref_wedge2_sp_action(R, w)
+        assert wedge3_sp_action(R, r) == ref_wedge3_sp_action(R, r)
+        if g == 1:
+            assert r.is_zero() and wedge3_sp_action(R, r).is_zero()
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_kernel_composition_and_inverse_laws(k):
+    act, rand = ACTIONS[k]
+    rng = random.Random(k)
+    for g in (1, 2, 3, 4):
+        A, B = rand_symplectic(rng, g), rand_symplectic(rng, g)
+        x = rand(rng, g)
+        assert act(A * B, x) == act(A, act(B, x))
+        assert act(A.inverse(), act(A, x)) == x
+
+
+def perturbations(rng, g, count):
+    """Symplectic matrices with one entry moved by +-1 or +-2."""
+    n = 2 * g
+    for _ in range(count):
+        M = rand_symplectic(rng, g, length=5)
+        rows = [list(row) for row in M.rows]
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] += rng.choice((-2, -1, 1, 2))
+        yield (i + 1, j + 1), IntMatrix(rows)
+
+
+@pytest.mark.parametrize("g", (1, 2, 3, 4))
+def test_symplectic_check_matches_the_definition(g):
+    rng = random.Random(200 + g)
+    J = make_J(g)
+    n = 2 * g
+    mats = [IntMatrix([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+            for _ in range(20)]
+    mats += [M for _, M in perturbations(rng, g, 20)]
+    mats += [rand_symplectic(rng, g) for _ in range(5)]
+    verdicts = [symplectic_check(M) for M in mats]
+    assert verdicts == [ref_symplectic_form(M) == J for M in mats]
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("g", (1, 2, 3, 4))
+def test_symplectic_inverse_matches_the_definition(g):
+    rng = random.Random(300 + g)
+    for _ in range(8):
+        M = rand_symplectic(rng, g)
+        inv = symplectic_inverse(M)
+        assert isinstance(inv, SymplecticMatrix)
+        assert IntMatrix(inv.rows) == ref_symplectic_inverse(M)
+        assert M * inv == IntMatrix.identity(g)
+
+
+@pytest.mark.parametrize("g", (1, 2, 3))
+def test_not_symplectic_names_the_perturbed_pair(g):
+    rng = random.Random(400 + g)
+    J = make_J(g)
+    n = 2 * g
+    named = 0
+    for (i, _), M in perturbations(rng, g, 12):
+        form = ref_symplectic_form(M)
+        bad = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+               if form.entry(a, b) != J.entry(a, b)]
+        if not bad:
+            SymplecticMatrix(M.rows)
+            continue
+        a, b = bad[0]
+        assert i in (a, b)  # a one-entry change moves only row and column i
+        with pytest.raises(NotSymplectic) as info:
+            SymplecticMatrix(M.rows)
+        assert str(info.value) == (
+            f"matrix fails M J M~ = J: entry ({a}, {b}) of M J M~ is "
+            f"{form.entry(a, b)}, of J is {J.entry(a, b)}"
+        )
+        named += 1
+    assert named
