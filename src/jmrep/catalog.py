@@ -67,19 +67,18 @@ def validate_entry(entry: CatalogEntry) -> ValidationReport:
         failures.append("inverse_spec o spec is not the identity")
 
     ab = entry.spec.abelianization()
-    symplectic = True
     try:
-        SymplecticMatrix(ab.rows)
+        R = SymplecticMatrix(ab.rows)
     except NotSymplectic:
-        symplectic = False
+        R = None
         failures.append("abelianization is not symplectic")
 
     bd = boundary_word(g)
     if word_reduce(endo_apply(entry.spec, bd)) != word_reduce(bd):
         failures.append("boundary word is not fixed")
 
-    if entry.claimed_handlebody and symplectic:
-        if not handlebody_sp_check(SymplecticMatrix(ab.rows)):
+    if entry.claimed_handlebody and R is not None:
+        if not handlebody_sp_check(R):
             failures.append("claimed handlebody but upper-right block is nonzero")
         else:
             try:

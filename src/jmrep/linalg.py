@@ -9,6 +9,13 @@ All arithmetic uses plain Python integers, so results are exact at any size.
 The intersection pairing is <u, v> = v~ J u (v~ = transpose), which makes
 <a_i, b_i> = +1 and gives the contraction identity <R x_n, x_k> = (JR)_kn.
 
+The public constructors check every entry, and SymplecticMatrix also checks
+M J M~ = J.  Closed operations (vector arithmetic, products, transpose,
+negation, symplectic_inverse) build their results through the unchecked _of
+and must keep the invariant themselves: tuples of 2g ints (rows of 2g ints),
+symplectic where the type says so, as products and inverses of symplectic
+matrices are by theorem.
+
 No routine here multiplies by J: it only swaps the a- and b-blocks with a sign.  The
 symplectic check compares (M J M~)_ab = sum_k (M_a,k+g M_b,k - M_a,k M_b,k+g)
 with J_ab for a < b, and the inverse of M = (S T; P Q) in g x g blocks is
@@ -49,6 +56,13 @@ class HVector:
             raise ValueError("coordinate length must be 2g for some g >= 1")
         self.coeffs = coeffs
 
+    @classmethod
+    def _of(cls, coeffs: tuple) -> "HVector":
+        """Trusted constructor: `coeffs` must be a tuple of 2g ints."""
+        v = object.__new__(cls)
+        v.coeffs = coeffs
+        return v
+
     @property
     def genus(self) -> int:
         return len(self.coeffs) // 2
@@ -70,19 +84,19 @@ class HVector:
 
     def __add__(self, other: "HVector") -> "HVector":
         self._check(other)
-        return HVector(x + y for x, y in zip(self.coeffs, other.coeffs))
+        return HVector._of(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "HVector") -> "HVector":
         self._check(other)
-        return HVector(x - y for x, y in zip(self.coeffs, other.coeffs))
+        return HVector._of(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "HVector":
-        return HVector(-x for x in self.coeffs)
+        return HVector._of(tuple(-x for x in self.coeffs))
 
     def __rmul__(self, n: int) -> "HVector":
         if isinstance(n, bool) or not isinstance(n, int):
             return NotImplemented
-        return HVector(n * x for x in self.coeffs)
+        return HVector._of(tuple(n * x for x in self.coeffs))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HVector) and self.coeffs == other.coeffs
@@ -115,7 +129,7 @@ def basis_vector(genus: int, i: int) -> HVector:
     """The basis vector x_i of H (1-based)."""
     if not 1 <= i <= 2 * genus:
         raise ValueError(f"basis index {i} out of range for genus {genus}")
-    return HVector(tuple(1 if k == i else 0 for k in range(1, 2 * genus + 1)))
+    return HVector._of(tuple(1 if k == i else 0 for k in range(1, 2 * genus + 1)))
 
 
 class IntMatrix:
@@ -131,6 +145,14 @@ class IntMatrix:
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         self.rows = rows
+
+    @classmethod
+    def _of(cls, rows: tuple):
+        """Trusted constructor: `rows` must be a square tuple of 2g int tuples,
+        symplectic when cls is SymplecticMatrix."""
+        m = object.__new__(cls)
+        m.rows = rows
+        return m
 
     @property
     def dim(self) -> int:
@@ -157,13 +179,13 @@ class IntMatrix:
 
     def column_vector(self, j: int) -> HVector:
         """Column j as an element of H, i.e. the image of x_j."""
-        return HVector(self.col(j))
+        return HVector._of(self.col(j))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows))
+        return IntMatrix._of(tuple(zip(*self.rows)))
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
+        return IntMatrix._of(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
@@ -175,13 +197,13 @@ class IntMatrix:
                 for row in self.rows
             )
             if isinstance(self, SymplecticMatrix) and isinstance(other, SymplecticMatrix):
-                return SymplecticMatrix(rows)
-            return IntMatrix(rows)
+                return SymplecticMatrix._of(rows)
+            return IntMatrix._of(rows)
         if isinstance(other, HVector):
             if other.genus != self.genus:
                 raise GenusMismatch(f"genus {self.genus} vs {other.genus}")
-            return HVector(
-                sum(a * b for a, b in zip(row, other.coeffs)) for row in self.rows
+            return HVector._of(
+                tuple(sum(a * b for a, b in zip(row, other.coeffs)) for row in self.rows)
             )
         return NotImplemented
 
@@ -267,7 +289,7 @@ def symplectic_inverse(M: SymplecticMatrix) -> SymplecticMatrix:
     cols = tuple(zip(*M.rows))
     top = [col[g:] + tuple(-x for x in col[:g]) for col in cols[g:]]
     bottom = [tuple(-x for x in col[g:]) + col[:g] for col in cols[:g]]
-    return SymplecticMatrix(top + bottom)
+    return SymplecticMatrix._of(tuple(top + bottom))
 
 
 class BlockConstraints(NamedTuple):

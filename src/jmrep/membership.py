@@ -19,8 +19,9 @@ upper-right g x g block of R vanishes and r has no a^a^a terms.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
-from .linalg import SymplecticMatrix, basis_vector, triple_dot, zero_vector
+from .linalg import HVector, SymplecticMatrix, basis_vector
 from .phi2 import Phi2Element, phi2_b_membership
 from .rho2 import Rho2Element, act_on_phi2, rho2_inv
 from .wedge import Wedge2, Wedge3
@@ -30,18 +31,16 @@ def compute_E(R: SymplecticMatrix) -> dict:
     """The complete map (i, j, k) -> E_ijk over all triples i < j < k."""
     if not isinstance(R, SymplecticMatrix):
         raise TypeError("compute_E needs a SymplecticMatrix")
-    g = R.genus
+    g, rows = R.genus, R.rows
     # J as a signed block swap: row i of RJ is (row_i(R)[g:], -row_i(R)[:g])
-    RJ = [row[g:] + tuple(-x for x in row[:g]) for row in R.rows]
+    RJ = [row[g:] + tuple(-x for x in row[:g]) for row in rows]
+    # E_ijk = .(si rj - ri sj, rk) + .(ri rj, sk): both products once per pair i < j
     E = {}
-    for i, j, k in itertools.combinations(range(1, 2 * g + 1), 3):
-        ri, rj, rk = R.row(i), R.row(j), R.row(k)
-        si, sj, sk = RJ[i - 1], RJ[j - 1], RJ[k - 1]
-        E[(i, j, k)] = (
-            triple_dot(si, rj, rk)
-            - triple_dot(ri, sj, rk)
-            + triple_dot(ri, rj, sk)
-        )
+    for i, j in itertools.combinations(range(2 * g), 2):
+        cross = [s * b - a * t for a, b, s, t in zip(rows[i], rows[j], RJ[i], RJ[j])]
+        prod = list(map(mul, rows[i], rows[j]))
+        for k in range(j + 1, 2 * g):
+            E[(i + 1, j + 1, k + 1)] = sum(map(mul, cross, rows[k])) + sum(map(mul, prod, RJ[k]))
     return E
 
 
@@ -60,7 +59,7 @@ def mcg_membership(f: Rho2Element) -> bool:
 def canonical_lift(R: SymplecticMatrix) -> Rho2Element:
     """The member over R whose doubled coefficients all lie in {0, 1}."""
     E = compute_E(R)
-    r = Wedge3(R.genus, {t: e % 2 for t, e in E.items()})
+    r = Wedge3._of(R.genus, {t: 1 for t, e in E.items() if e % 2})
     return Rho2Element(r, R)
 
 
@@ -124,16 +123,16 @@ def torelli_handlebody_basis(genus: int) -> list:
 def _b_image_generators(genus: int):
     """Generators of phi_2(b): (0, b_i), (a_i^b_j, 0) and (b_i^b_j, 0)."""
     g = genus
-    zero2 = Wedge2.zero(g)
-    zerov = zero_vector(g)
+    zero2 = Wedge2._of(g, {})
+    zerov = HVector._of((0,) * (2 * g))
     gens = [Phi2Element(zero2, basis_vector(g, g + i)) for i in range(1, g + 1)]
     gens += [
-        Phi2Element(Wedge2.basis(g, i, g + j), zerov)
+        Phi2Element(Wedge2._of(g, {(i, g + j): 2}), zerov)
         for i in range(1, g + 1)
         for j in range(1, g + 1)
     ]
     gens += [
-        Phi2Element(Wedge2.basis(g, g + i, g + j), zerov)
+        Phi2Element(Wedge2._of(g, {(g + i, g + j): 2}), zerov)
         for i, j in itertools.combinations(range(1, g + 1), 2)
     ]
     return gens

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import GenusMismatch
 from .linalg import HVector, zero_vector
-from .wedge import Wedge2, half_wedge2_of
+from .wedge import Wedge2, _nonzero, half_wedge2_of
 from .words import FreeWord
 
 
@@ -104,7 +104,7 @@ def phi2_eval_word(w: FreeWord) -> Phi2Element:
                 key = (k, q)
                 eta[key] = eta.get(key, 0) - sign * y[q]
         y[k] += sign
-    return Phi2Element(Wedge2(g, eta), HVector(y[1:]))
+    return Phi2Element(Wedge2._of(g, _nonzero(eta)), HVector._of(tuple(y[1:])))
 
 
 def phi2_pi_membership(p: Phi2Element) -> bool:

@@ -4,8 +4,11 @@ Elements of (1/2)W2(H) and (1/2)W3(H) are sparse maps from strictly
 increasing index pairs/triples to half-integer coefficients.  Every
 coefficient is stored as its DOUBLED integer value (the "twice"
 convention), so all arithmetic stays in Z; a stored value t means the
-coefficient t/2.  Constructors drop zero terms, so equality of the
-canonical forms is plain structural equality.
+coefficient t/2.  In canonical form the keys are strictly increasing int
+tuples within 1..2g and every value is a nonzero int, so equality is plain
+structural equality.  The public constructors check and canonicalize their
+input; closed operations build their results through the unchecked
+_Wedge._of and must themselves drop the zeros that cancellation creates.
 
 The bridge between W3(H) and Hom(H, (1/2)W2(H)) is
 
@@ -57,6 +60,11 @@ def _fmt_terms(twice_map, genus):
     return " ".join(parts) if parts else "0"
 
 
+def _nonzero(twice: dict) -> dict:
+    """twice without the zero values that cancellation left behind."""
+    return {k: t for k, t in twice.items() if t}
+
+
 def _build_twice(genus, terms, arity):
     n = 2 * genus
     if isinstance(terms, Mapping):
@@ -78,7 +86,7 @@ def _build_twice(genus, terms, arity):
             raise ValueError(f"doubled coefficient must be an integer, got {t!r}")
         if t:
             out[idx] = out.get(idx, 0) + t
-    return {k: v for k, v in out.items() if v}
+    return _nonzero(out)
 
 
 class _Wedge:
@@ -93,6 +101,14 @@ class _Wedge:
             raise ValueError("genus must be >= 1")
         self.genus = genus
         self._twice = _build_twice(genus, terms, self.ARITY)
+
+    @classmethod
+    def _of(cls, genus: int, twice: dict):
+        """Trusted constructor: `twice` must already be in canonical form."""
+        w = object.__new__(cls)
+        w.genus = genus
+        w._twice = twice
+        return w
 
     @classmethod
     def zero(cls, genus: int):
@@ -129,22 +145,22 @@ class _Wedge:
         out = dict(self._twice)
         for k, t in other._twice.items():
             out[k] = out.get(k, 0) + t
-        return type(self)(self.genus, out)
+        return self._of(self.genus, _nonzero(out))
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self._twice)
         for k, t in other._twice.items():
             out[k] = out.get(k, 0) - t
-        return type(self)(self.genus, out)
+        return self._of(self.genus, _nonzero(out))
 
     def __neg__(self):
-        return type(self)(self.genus, {k: -t for k, t in self._twice.items()})
+        return self._of(self.genus, {k: -t for k, t in self._twice.items()})
 
     def __rmul__(self, n: int):
         if isinstance(n, bool) or not isinstance(n, int):
             return NotImplemented
-        return type(self)(self.genus, {k: n * t for k, t in self._twice.items()})
+        return self._of(self.genus, {k: n * t for k, t in self._twice.items()} if n else {})
 
     __mul__ = __rmul__
 
@@ -190,7 +206,7 @@ def half_wedge2_of(u: HVector, v: HVector) -> Wedge2:
             c = uc[i] * vc[j] - uc[j] * vc[i]
             if c:
                 out[(i + 1, j + 1)] = c
-    return Wedge2(u.genus, out)
+    return Wedge2._of(u.genus, out)
 
 
 def wedge2_of(u: HVector, v: HVector) -> Wedge2:
@@ -207,8 +223,8 @@ def wedge3_of(u: HVector, v: HVector, w: HVector) -> Wedge3:
     for (i, j), t in half_wedge2_of(u, v)._twice.items():
         A[i - 1][j - 1] = t
     out = {}
-    _add_vector_wedge(w.coeffs, A, out)
-    return 2 * Wedge3(u.genus, out)
+    _add_vector_wedge(w.coeffs, A, out)  # one call: every key is set once, nonzero
+    return 2 * Wedge3._of(u.genus, out)
 
 
 def kappa(y: HVector) -> Wedge2:
@@ -223,7 +239,7 @@ def kappa(y: HVector) -> Wedge2:
         t = y.coeffs[i] - y.coeffs[i + g]
         if t:
             out[(i + 1, i + 1 + g)] = t
-    return Wedge2(g, out)
+    return Wedge2._of(g, out)
 
 
 class HomHW2:
@@ -270,7 +286,7 @@ class HomHW2:
                 if c:
                     for key, t in img._twice.items():
                         acc[key] = acc.get(key, 0) + c * t
-            new.append(Wedge2(self.genus, acc))
+            new.append(Wedge2._of(self.genus, _nonzero(acc)))
         return HomHW2(new)
 
     def _check(self, other):
@@ -345,7 +361,7 @@ def wedge3_apply(r: Wedge3, v: HVector) -> Wedge2:
             # x_k ^ x_i = -(x_i ^ x_k)
             key = (i, k)
             out[key] = out.get(key, 0) - t * cj
-    return Wedge2(r.genus, out)
+    return Wedge2._of(r.genus, _nonzero(out))
 
 
 def wedge3_embed(r: Wedge3) -> HomHW2:
@@ -398,7 +414,7 @@ def wedge2_sp_action(R: IntMatrix, w: Wedge2) -> Wedge2:
     if R.genus != w.genus:
         raise GenusMismatch(f"genus {R.genus} vs {w.genus}")
     A = _lambda2(tuple(zip(*R.rows)), w._twice.items())
-    return Wedge2(
+    return Wedge2._of(
         w.genus,
         {(p + 1, q + 1): a for p, row in enumerate(A) for q, a in enumerate(row) if a},
     )
@@ -419,7 +435,7 @@ def wedge3_sp_action(R: IntMatrix, r: Wedge3) -> Wedge3:
     out = {}
     for i, terms in rho.items():
         _add_vector_wedge(cols[i - 1], _lambda2(cols, terms), out)
-    return Wedge3(r.genus, out)
+    return Wedge3._of(r.genus, _nonzero(out))
 
 
 def sp_action_on_hom(R: SymplecticMatrix, m: HomHW2) -> HomHW2:
@@ -451,7 +467,7 @@ def wedge3_decode(m: HomHW2) -> Wedge3:
         for (i, j), t in m.image_of(n)._twice.items():
             if j < k:
                 out[(i, j, k)] = sign * t
-    r = Wedge3(g, out)
+    r = Wedge3._of(g, out)
     for n, (got, want) in enumerate(zip(m.images, wedge3_embed(r).images), start=1):
         if got != want:
             pair = (got - want).terms()[0][0]

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -54,6 +55,12 @@ def test_symplectic_check():
 def test_symplectic_constructor_rejects_non_symplectic():
     with pytest.raises(NotSymplectic):
         SymplecticMatrix(((2, 0), (0, 2)))
+    # the shear ((1, 1), (0, 1)) with its last entry perturbed
+    with pytest.raises(
+        NotSymplectic,
+        match=re.escape("matrix fails M J M~ = J: entry (1, 2) of M J M~ is -2, of J is -1"),
+    ):
+        SymplecticMatrix(((1, 1), (0, 2)))
 
 
 def test_symplectic_inverse_frozen_cases():
@@ -158,3 +165,12 @@ def test_vector_arithmetic_and_labels():
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
         IntMatrix(((1, 0), (0,)))
+
+
+def test_constructors_reject_non_integers():
+    with pytest.raises(ValueError):
+        HVector([True, 0])
+    with pytest.raises(ValueError):
+        HVector([1.0, 0])
+    with pytest.raises(ValueError):
+        IntMatrix(((1, 0), (0, 1.0)))

@@ -1,0 +1,156 @@
+"""Closed operations build their results through the private trusted
+constructors (_Wedge._of, HVector._of, IntMatrix._of) and skip validation.
+
+The first tests check that every such result is still in canonical form: it
+equals its copy rebuilt through the public constructor and holds no zero
+coefficient.  The last one checks that the hot paths really skip validation.
+"""
+
+import random
+
+import pytest
+
+import jmrep.linalg as linalg
+import jmrep.wedge as wedge
+from jmrep import (
+    HomHW2,
+    HVector,
+    IntMatrix,
+    SymplecticMatrix,
+    Wedge3,
+    act_on_phi2,
+    canonical_lift,
+    compute_E,
+    handlebody_membership,
+    half_wedge2_of,
+    kappa,
+    mcg_membership,
+    phi2_eval_word,
+    preserves_phi2_b,
+    rho2_inv,
+    rho2_mul,
+    symplectic_check,
+    symplectic_inverse,
+    wedge2_sp_action,
+    wedge3_apply,
+    wedge3_decode,
+    wedge3_embed,
+    wedge3_sp_action,
+)
+from helpers import (
+    rand_member,
+    rand_pi_point,
+    rand_symplectic,
+    rand_vector,
+    rand_wedge2,
+    rand_wedge3,
+    rand_word,
+)
+
+
+def assert_canonical(w):
+    assert all(w._twice.values()), w._twice
+    assert type(w)(w.genus, dict(w._twice)) == w
+
+
+def assert_canonical_vector(v):
+    assert HVector(v.coeffs) == v
+
+
+def assert_canonical_matrix(M):
+    assert IntMatrix(M.rows) == M
+    if isinstance(M, SymplecticMatrix):
+        assert symplectic_check(M)
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_wedge_operations_stay_canonical(g):
+    rng = random.Random(500 + g)
+    for _ in range(3):
+        # bound 1 makes cancellation between terms common
+        w, w2 = rand_wedge2(rng, g, bound=1), rand_wedge2(rng, g, bound=1)
+        r, r2 = rand_wedge3(rng, g, bound=1), rand_wedge3(rng, g, bound=1)
+        R = rand_symplectic(rng, g)
+        u, v = rand_vector(rng, g, bound=1), rand_vector(rng, g, bound=1)
+        m = HomHW2(rand_wedge2(rng, g, bound=1) for _ in range(2 * g))
+        point = phi2_eval_word(rand_word(rng, g))
+        assert_canonical_vector(point.y)
+        results = [
+            w + w2, w - w2, -w, 0 * w, 3 * w, -2 * r,
+            r + r2, r - r2, -r, 0 * r,
+            wedge2_sp_action(R, w), wedge3_sp_action(R, r),
+            wedge3_apply(r, u), kappa(u), half_wedge2_of(u, v),
+            wedge3_decode(wedge3_embed(r)), point.eta, canonical_lift(R).r,
+            *m.precompose(R).images, *m.precompose(IntMatrix(R.rows).transpose()).images,
+        ]
+        for x in results:
+            assert_canonical(x)
+        assert wedge3_decode(wedge3_embed(r)) == r
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_cancelling_results_are_zero(g):
+    rng = random.Random(600 + g)
+    w, r = rand_wedge2(rng, g), rand_wedge3(rng, g)
+    for x in (w, r):
+        zero = type(x).zero(g)
+        assert x + (-x) == zero
+        assert x - x == zero
+        assert 0 * x == zero
+        assert (x + (-x)).is_zero()
+
+
+def test_lambda3_action_with_cancelling_terms():
+    # R: a2 -> a2 + a1 and b1 -> b1 - b2.  Then R(a2^a3^b3 - a1^a3^b3) =
+    # a2^a3^b3, the a1^a3^b3 terms from the two first indices cancelling.
+    rows = [[int(p == q) for q in range(6)] for p in range(6)]
+    rows[0][1] = 1
+    rows[4][3] = -1
+    R = SymplecticMatrix(rows)
+    r = Wedge3(3, {(2, 3, 6): 2, (1, 3, 6): -2})
+    image = wedge3_sp_action(R, r)
+    assert image == Wedge3.basis(3, 2, 3, 6)
+    assert_canonical(image)
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_vector_and_matrix_operations_stay_canonical(g):
+    rng = random.Random(700 + g)
+    R, S = rand_symplectic(rng, g), rand_symplectic(rng, g)
+    A = IntMatrix(R.rows)
+    u, v = rand_vector(rng, g), rand_vector(rng, g)
+    for x in (u + v, u - v, -u, 0 * u, 3 * u, R * u, A * v, R.column_vector(1)):
+        assert_canonical_vector(x)
+    trusted = (R * S, R.inverse(), symplectic_inverse(S))
+    for M in trusted:
+        assert type(M) is SymplecticMatrix
+    for M in (*trusted, A * R, R * A, A.transpose(), -A, R.transpose()):
+        assert_canonical_matrix(M)
+    assert R * R.inverse() == IntMatrix.identity(g)
+
+
+def test_closed_operations_do_not_revalidate(monkeypatch):
+    rng = random.Random(800)
+    g = 3
+    f, f2 = rand_member(rng, g), rand_member(rng, g)
+    p = rand_pi_point(rng, g)
+    word = rand_word(rng, g)
+    m = wedge3_embed(f.r)
+
+    def refuse(*args):
+        raise AssertionError("validation ran inside a closed operation")
+
+    monkeypatch.setattr(wedge, "_build_twice", refuse)
+    monkeypatch.setattr(linalg, "_as_int_tuple", refuse)
+    monkeypatch.setattr(linalg, "symplectic_check", refuse)
+
+    rho2_mul(f, f2)
+    rho2_inv(f)
+    act_on_phi2(f, p)
+    compute_E(f.R)
+    canonical_lift(f2.R)
+    mcg_membership(f)
+    handlebody_membership(f)
+    preserves_phi2_b(f)
+    assert wedge3_decode(m) == f.r
+    phi2_eval_word(word)

@@ -56,6 +56,15 @@ def test_wedge2_rejects_bad_indices():
         Wedge2(2, {(3, 1): 2})
     with pytest.raises(ValueError):
         Wedge2(2, {(1, 5): 2})
+    with pytest.raises(ValueError):
+        Wedge2(2, {(2, 1): 2})
+
+
+def test_wedge_rejects_non_integer_coefficients():
+    with pytest.raises(ValueError):
+        Wedge3(2, {(1, 2, 3): 1.0})
+    with pytest.raises(ValueError):
+        Wedge2(2, {(1, 2): True})
 
 
 def test_kappa_values():
