@@ -12,9 +12,9 @@ The intersection pairing is <u, v> = v~ J u (v~ = transpose), which makes
 The public constructors check every entry, and SymplecticMatrix also checks
 M J M~ = J.  Closed operations (vector arithmetic, products, transpose,
 negation, symplectic_inverse) build their results through the unchecked _of
-and must keep the invariant themselves: tuples of 2g ints (rows of 2g ints),
-symplectic where the type says so, as products and inverses of symplectic
-matrices are by theorem.
+and keep the invariant themselves: a vector is a tuple of 2g ints, a matrix
+a tuple of 2g such tuples, and a SymplecticMatrix result is symplectic, as
+products and inverses of symplectic matrices are by theorem.
 
 No routine here multiplies by J: it only swaps the a- and b-blocks with a sign.  The
 symplectic check compares (M J M~)_ab = sum_k (M_a,k+g M_b,k - M_a,k M_b,k+g)
