@@ -32,14 +32,11 @@ from .linalg import (
     SymplecticMatrix,
     basis_label,
     basis_vector,
-    block_constraints,
-    make_C,
     make_J,
     pairing,
     symplectic_check,
     symplectic_inverse,
     transvection,
-    triple_dot,
     zero_vector,
 )
 from .wedge import (
@@ -148,7 +145,6 @@ __all__ = [
     "act_on_phi2",
     "basis_label",
     "basis_vector",
-    "block_constraints",
     "boundary_word",
     "canonical_dumps",
     "canonical_lift",
@@ -181,7 +177,6 @@ __all__ = [
     "handlebody_sp_check",
     "kappa",
     "kappa_hom",
-    "make_C",
     "make_J",
     "mcg_membership",
     "morita_shift",
@@ -204,7 +199,6 @@ __all__ = [
     "tau2_tilde_from_endo",
     "torelli_handlebody_basis",
     "transvection",
-    "triple_dot",
     "validate_entry",
     "wedge2_of",
     "wedge2_sp_action",

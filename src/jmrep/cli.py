@@ -53,7 +53,10 @@ def _load(paths) -> list:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        docs.append(json.loads(text))
+        try:
+            docs.append(json.loads(text))
+        except RecursionError:
+            raise ValueError("input is nested too deeply") from None
     return docs
 
 

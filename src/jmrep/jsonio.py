@@ -4,7 +4,9 @@ All documents carry an explicit "genus" field and all indices are 1-based.
 Encoders emit canonical form: sorted keys, strictly increasing index tuples,
 zero terms dropped.  Decoders are forgiving about term order and accumulate
 repeated index tuples, but reject anything structurally off with ValueError
-(or a jmrep error subclass, all of which the CLI maps to exit code 2).
+(or a jmrep error subclass, all of which the CLI maps to exit code 2).  A
+decoder that has checked every field builds its value through the trusted
+_of constructor, so no entry is checked twice.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 import json
 
 from .errors import GenusMismatch
-from .linalg import HVector, IntMatrix, SymplecticMatrix
+from .linalg import HVector, IntMatrix, SymplecticMatrix, _require_symplectic
 from .phi2 import Phi2Element
 from .rho2 import Rho2Element
-from .wedge import Wedge2, Wedge3
+from .wedge import Wedge2, Wedge3, _nonzero, _sort_signed
 from .words import EndomorphismSpec, FreeWord
 
 
@@ -50,7 +52,7 @@ def decode_hvector(doc) -> HVector:
     g = _genus_of(doc)
     coeffs = _int_list(doc.get("coeffs"), "'coeffs'")
     _require(len(coeffs) == 2 * g, "'coeffs' must have length 2*genus")
-    return HVector(tuple(coeffs))
+    return HVector._of(tuple(coeffs))
 
 
 # ---------------------------------------------------------------- matrices
@@ -67,12 +69,13 @@ def decode_matrix(doc) -> IntMatrix:
     for r in rows:
         _int_list(r, "matrix row")
         _require(len(r) == 2 * g, "matrix rows must have length 2*genus")
-    return IntMatrix(tuple(tuple(r) for r in rows))
+    return IntMatrix._of(tuple(tuple(r) for r in rows))
 
 
 def decode_symplectic(doc) -> SymplecticMatrix:
-    # raises NotSymplectic when the pairing is not preserved
-    return SymplecticMatrix(decode_matrix(doc).rows)
+    M = decode_matrix(doc)
+    _require_symplectic(M)  # raises NotSymplectic when the pairing is not preserved
+    return SymplecticMatrix._of(M.rows)
 
 
 # ---------------------------------------------------------------- wedges
@@ -104,29 +107,18 @@ def _decode_terms(doc, arity: int):
         t = item.get("twice")
         _require(isinstance(t, int) and not isinstance(t, bool),
                  "'twice' must be an integer")
-        # sort the tuple, tracking the sign of the permutation
-        idx = list(idx)
-        sign = 1
-        for a in range(arity):
-            for b in range(arity - 1 - a):
-                if idx[b] > idx[b + 1]:
-                    idx[b], idx[b + 1] = idx[b + 1], idx[b]
-                    sign = -sign
-        if len(set(idx)) < arity:
-            continue  # repeated index wedges to zero
-        key = tuple(idx)
-        acc[key] = acc.get(key, 0) + sign * t
-    return g, {k: v for k, v in acc.items() if v != 0}
+        sign, key = _sort_signed(tuple(idx))  # sign 0: a repeated index wedges to zero
+        if sign:
+            acc[key] = acc.get(key, 0) + sign * t
+    return g, _nonzero(acc)
 
 
 def decode_wedge2(doc) -> Wedge2:
-    g, acc = _decode_terms(doc, 2)
-    return Wedge2(g, acc)
+    return Wedge2._of(*_decode_terms(doc, 2))
 
 
 def decode_wedge3(doc) -> Wedge3:
-    g, acc = _decode_terms(doc, 3)
-    return Wedge3(g, acc)
+    return Wedge3._of(*_decode_terms(doc, 3))
 
 
 # ---------------------------------------------------------------- words
@@ -141,7 +133,7 @@ def decode_word(doc) -> FreeWord:
     for s in letters:
         _require(s != 0 and abs(s) <= 2 * g,
                  "letters must be nonzero and within +-2*genus")
-    return FreeWord(g, letters)
+    return FreeWord._of(g, tuple(letters))
 
 
 # ---------------------------------------------------------------- phi2 / rho2

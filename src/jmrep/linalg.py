@@ -24,7 +24,7 @@ with J_ab for a < b, and the inverse of M = (S T; P Q) in g x g blocks is
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import GenusMismatch, NotSymplectic
 
@@ -171,9 +171,6 @@ class IntMatrix:
         """Entry in row i, column j (1-based)."""
         return self.rows[i - 1][j - 1]
 
-    def row(self, i: int) -> tuple:
-        return self.rows[i - 1]
-
     def col(self, j: int) -> tuple:
         return tuple(row[j - 1] for row in self.rows)
 
@@ -230,18 +227,6 @@ def make_J(genus: int) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def make_C(genus: int) -> IntMatrix:
-    """The handle-swap involution with blocks (0 I; I 0): a_i <-> b_i."""
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
-    n = 2 * genus
-    rows = [[0] * n for _ in range(n)]
-    for i in range(genus):
-        rows[i][i + genus] = 1
-        rows[i + genus][i] = 1
-    return IntMatrix(rows)
-
-
 def _symplectic_defect(M: IntMatrix):
     """The first (a, b, (M J M~)_ab, J_ab) with a < b (1-based) where the two
     differ, or None; M J M~ is antisymmetric like J, so a < b suffices."""
@@ -263,6 +248,16 @@ def symplectic_check(M: IntMatrix) -> bool:
     return _symplectic_defect(M) is None
 
 
+def _require_symplectic(M: IntMatrix) -> None:
+    """Raise NotSymplectic naming the first pair where M J M~ and J differ."""
+    if not symplectic_check(M):
+        a, b, got, want = _symplectic_defect(M)
+        raise NotSymplectic(
+            f"matrix fails M J M~ = J: entry ({a}, {b}) of M J M~ is {got}, "
+            f"of J is {want}"
+        )
+
+
 class SymplecticMatrix(IntMatrix):
     """An IntMatrix verified to satisfy M J M~ = J at construction time."""
 
@@ -270,12 +265,7 @@ class SymplecticMatrix(IntMatrix):
 
     def __init__(self, rows):
         super().__init__(rows)
-        if not symplectic_check(self):
-            a, b, got, want = _symplectic_defect(self)
-            raise NotSymplectic(
-                f"matrix fails M J M~ = J: entry ({a}, {b}) of M J M~ is {got}, "
-                f"of J is {want}"
-            )
+        _require_symplectic(self)
 
     def inverse(self) -> "SymplecticMatrix":
         return symplectic_inverse(self)
@@ -292,55 +282,6 @@ def symplectic_inverse(M: SymplecticMatrix) -> SymplecticMatrix:
     return SymplecticMatrix._of(tuple(top + bottom))
 
 
-class BlockConstraints(NamedTuple):
-    """Report on the three g x g block identities of a symplectic matrix.
-
-    Writing M = (S T; P Q):  (i) Q S~ - P T~ = I, (ii) S T~ symmetric,
-    (iii) P Q~ symmetric.
-    """
-
-    qs_minus_pt_identity: bool
-    st_symmetric: bool
-    pq_symmetric: bool
-
-    def all_hold(self) -> bool:
-        return self.qs_minus_pt_identity and self.st_symmetric and self.pq_symmetric
-
-
-def _blk_mul_t(A, B):
-    # A @ B~ for g x g blocks given as tuples of rows
-    return tuple(
-        tuple(sum(a * b for a, b in zip(ra, rb)) for rb in B) for ra in A
-    )
-
-
-def _blk_symmetric(A) -> bool:
-    n = len(A)
-    return all(A[i][j] == A[j][i] for i in range(n) for j in range(n))
-
-
-def block_constraints(M: SymplecticMatrix) -> BlockConstraints:
-    """Evaluate the block identities (i)-(iii) for a symplectic matrix."""
-    g = M.genus
-    S = tuple(row[:g] for row in M.rows[:g])
-    T = tuple(row[g:] for row in M.rows[:g])
-    P = tuple(row[:g] for row in M.rows[g:])
-    Q = tuple(row[g:] for row in M.rows[g:])
-    QSt = _blk_mul_t(Q, S)
-    PTt = _blk_mul_t(P, T)
-    diff = tuple(
-        tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(QSt, PTt)
-    )
-    ident = all(
-        diff[i][j] == (1 if i == j else 0) for i in range(g) for j in range(g)
-    )
-    return BlockConstraints(
-        qs_minus_pt_identity=ident,
-        st_symmetric=_blk_symmetric(_blk_mul_t(S, T)),
-        pq_symmetric=_blk_symmetric(_blk_mul_t(P, Q)),
-    )
-
-
 def pairing(u: HVector, v: HVector) -> int:
     """Intersection pairing <u, v> = v~ J u; <a_i, b_i> = +1."""
     if u.genus != v.genus:
@@ -348,13 +289,6 @@ def pairing(u: HVector, v: HVector) -> int:
     g = u.genus
     uc, vc = u.coeffs, v.coeffs
     return sum(uc[i] * vc[i + g] - uc[i + g] * vc[i] for i in range(g))
-
-
-def triple_dot(w, y, z) -> int:
-    """Coordinatewise triple product sum_i w_i y_i z_i of three sequences."""
-    if len(w) != len(y) or len(y) != len(z):
-        raise ValueError("triple_dot needs sequences of equal length")
-    return sum(a * b * c for a, b, c in zip(w, y, z))
 
 
 def transvection(v: HVector) -> SymplecticMatrix:

@@ -43,21 +43,8 @@ class Phi2Element:
     def identity(cls, genus: int) -> "Phi2Element":
         return cls(Wedge2.zero(genus), zero_vector(genus))
 
-    @classmethod
-    def of_generator(cls, genus: int, k: int) -> "Phi2Element":
-        """phi_2(xi_k) = (0, x_k) for positive k, inverse for negative."""
-        from .linalg import basis_vector
-
-        if k == 0 or abs(k) > 2 * genus:
-            raise ValueError(f"letter {k} out of range")
-        v = basis_vector(genus, abs(k))
-        return cls(Wedge2.zero(genus), v if k > 0 else -v)
-
     def __mul__(self, other: "Phi2Element") -> "Phi2Element":
         return phi2_mul(self, other)
-
-    def inv(self) -> "Phi2Element":
-        return phi2_inv(self)
 
     def __eq__(self, other) -> bool:
         return (
@@ -171,4 +158,4 @@ def phi2_word_synthesis(p: Phi2Element) -> FreeWord:
                 letters += [i, j, -i, -j] * count
             elif count < 0:
                 letters += [j, i, -j, -i] * (-count)
-    return FreeWord(g, letters)
+    return FreeWord._of(g, tuple(letters))

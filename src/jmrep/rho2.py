@@ -76,9 +76,6 @@ class Rho2Element:
     def __mul__(self, other: "Rho2Element") -> "Rho2Element":
         return rho2_mul(self, other)
 
-    def inv(self) -> "Rho2Element":
-        return rho2_inv(self)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Rho2Element)

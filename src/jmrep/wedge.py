@@ -65,6 +65,16 @@ def _nonzero(twice: dict) -> dict:
     return {k: t for k, t in twice.items() if t}
 
 
+def _sort_signed(idx: tuple):
+    """(sign, sorted idx), with sign that of the permutation sorting idx, or 0
+    when an index repeats and the wedge product vanishes."""
+    key = tuple(sorted(idx))
+    if len(set(key)) < len(key):
+        return 0, key
+    inversions = sum(a > b for p, a in enumerate(idx) for b in idx[p + 1:])
+    return (-1) ** inversions, key
+
+
 def _build_twice(genus, terms, arity):
     n = 2 * genus
     if isinstance(terms, Mapping):

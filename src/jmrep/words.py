@@ -5,6 +5,11 @@ xi_i = alpha_i and xi_(i+g) = beta_i.  A word is a sequence of nonzero
 letters in {-2g..-1, 1..2g}; a positive letter k is the generator xi_k
 and -k its inverse.  Words are stored as given; reduction is explicit.
 
+The public FreeWord constructor checks every letter.  Closed operations
+(concatenation, inverse, free reduction, substitution, the boundary word)
+build their results through the unchecked FreeWord._of: their letters come
+from words already checked, so the letters tuple stays within +-2g.
+
 The distinguished boundary word is the product of commutators
 [alpha_1, beta_1] ... [alpha_g, beta_g]; an endomorphism spec that fixes
 it exactly (up to free reduction) is the action of a mapping class.
@@ -40,6 +45,14 @@ class FreeWord:
         self.letters = _check_letters(genus, letters)
 
     @classmethod
+    def _of(cls, genus: int, letters: tuple) -> "FreeWord":
+        """Trusted constructor: `letters` must be a tuple of nonzero ints within +-2g."""
+        w = object.__new__(cls)
+        w.genus = genus
+        w.letters = letters
+        return w
+
+    @classmethod
     def identity(cls, genus: int) -> "FreeWord":
         return cls(genus)
 
@@ -59,10 +72,10 @@ class FreeWord:
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         """Concatenation (no reduction)."""
         self._check(other)
-        return FreeWord(self.genus, self.letters + other.letters)
+        return FreeWord._of(self.genus, self.letters + other.letters)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.genus, tuple(-s for s in reversed(self.letters)))
+        return FreeWord._of(self.genus, tuple(-s for s in reversed(self.letters)))
 
     def reduced(self) -> "FreeWord":
         return word_reduce(self)
@@ -78,7 +91,7 @@ class FreeWord:
         counts = [0] * (2 * self.genus)
         for s in self.letters:
             counts[abs(s) - 1] += 1 if s > 0 else -1
-        return HVector(counts)
+        return HVector._of(tuple(counts))
 
     def __eq__(self, other) -> bool:
         return (
@@ -99,15 +112,20 @@ class FreeWord:
         return f"FreeWord(g={self.genus}: {body})"
 
 
-def word_reduce(w: FreeWord) -> FreeWord:
-    """Free reduction: cancel adjacent inverse pairs until none remain."""
-    stack = []
-    for s in w.letters:
+def _push(stack: list, letters) -> None:
+    """Push letters onto a freely reduced stack, cancelling inverse pairs as they meet."""
+    for s in letters:
         if stack and stack[-1] == -s:
             stack.pop()
         else:
             stack.append(s)
-    return FreeWord(w.genus, stack)
+
+
+def word_reduce(w: FreeWord) -> FreeWord:
+    """Free reduction: cancel adjacent inverse pairs until none remain."""
+    stack = []
+    _push(stack, w.letters)
+    return FreeWord._of(w.genus, tuple(stack))
 
 
 class EndomorphismSpec:
@@ -142,7 +160,7 @@ class EndomorphismSpec:
         """The induced matrix on H; column n is the exponent sum of images[n]."""
         cols = [w.abelianization().coeffs for w in self.images]
         n = 2 * self.genus
-        return IntMatrix(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+        return IntMatrix._of(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
 
     def is_identity(self) -> bool:
         return all(
@@ -179,17 +197,12 @@ def endo_apply(e: EndomorphismSpec, w: FreeWord, max_letters: int | None = None)
     stack = []
     for s in w.letters:
         img = e.images[abs(s) - 1].letters
-        it = img if s > 0 else tuple(-t for t in reversed(img))
-        for t in it:
-            if stack and stack[-1] == -t:
-                stack.pop()
-            else:
-                stack.append(t)
+        _push(stack, img if s > 0 else tuple(-t for t in reversed(img)))
         if max_letters is not None and len(stack) > max_letters:
             raise WordLengthExceeded(
                 f"substitution exceeded {max_letters} letters"
             )
-    return FreeWord(w.genus, stack)
+    return FreeWord._of(w.genus, tuple(stack))
 
 
 def endo_compose(e1: EndomorphismSpec, e2: EndomorphismSpec,
@@ -209,7 +222,9 @@ def endo_compose(e1: EndomorphismSpec, e2: EndomorphismSpec,
 
 def boundary_word(genus: int) -> FreeWord:
     """The boundary circle [alpha_1, beta_1] ... [alpha_g, beta_g]."""
+    if genus < 1:
+        raise ValueError("genus must be >= 1")
     letters = []
     for i in range(1, genus + 1):
         letters += [i, i + genus, -i, -(i + genus)]
-    return FreeWord(genus, letters)
+    return FreeWord._of(genus, tuple(letters))

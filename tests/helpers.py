@@ -5,6 +5,7 @@ seed in the calling test.
 """
 
 import itertools
+from typing import NamedTuple
 
 from jmrep import (
     EndomorphismSpec,
@@ -112,7 +113,8 @@ def rand_phi2(rng, g, bound=3):
 
 # ---------------------------------------------------------------- reference oracles
 # Direct transcriptions of the definitions, kept as the reference that the
-# structure-aware kernels in jmrep.wedge and jmrep.linalg are compared against.
+# structure-aware kernels in jmrep.wedge, jmrep.linalg and jmrep.membership are
+# compared against.
 
 
 def _det3(a, b, c, p, q, r):
@@ -160,3 +162,63 @@ def ref_symplectic_inverse(M):
     """-J M~ J, the inverse of a symplectic M since J^-1 = -J."""
     J = make_J(M.genus)
     return IntMatrix((-(J * M.transpose() * J)).rows)
+
+
+class BlockConstraints(NamedTuple):
+    """The three g x g block identities equivalent to M J M~ = J.
+
+    Writing M = (S T; P Q):  (i) Q S~ - P T~ = I, (ii) S T~ symmetric,
+    (iii) P Q~ symmetric.
+    """
+
+    qs_minus_pt_identity: bool
+    st_symmetric: bool
+    pq_symmetric: bool
+
+    def all_hold(self) -> bool:
+        return self.qs_minus_pt_identity and self.st_symmetric and self.pq_symmetric
+
+
+def _blk_mul_t(A, B):
+    # A @ B~ for g x g blocks given as tuples of rows
+    return tuple(tuple(sum(a * b for a, b in zip(ra, rb)) for rb in B) for ra in A)
+
+
+def _blk_symmetric(A) -> bool:
+    n = len(A)
+    return all(A[i][j] == A[j][i] for i in range(n) for j in range(n))
+
+
+def block_constraints(M):
+    """Evaluate the block identities (i)-(iii) for a square matrix of size 2g."""
+    g = M.genus
+    S = tuple(row[:g] for row in M.rows[:g])
+    T = tuple(row[g:] for row in M.rows[:g])
+    P = tuple(row[:g] for row in M.rows[g:])
+    Q = tuple(row[g:] for row in M.rows[g:])
+    QSt = _blk_mul_t(Q, S)
+    PTt = _blk_mul_t(P, T)
+    ident = all(
+        QSt[i][j] - PTt[i][j] == (1 if i == j else 0) for i in range(g) for j in range(g)
+    )
+    return BlockConstraints(
+        qs_minus_pt_identity=ident,
+        st_symmetric=_blk_symmetric(_blk_mul_t(S, T)),
+        pq_symmetric=_blk_symmetric(_blk_mul_t(P, Q)),
+    )
+
+
+def triple_dot(w, y, z) -> int:
+    """Coordinatewise triple product sum_n w_n y_n z_n of three sequences."""
+    assert len(w) == len(y) == len(z)
+    return sum(a * b * c for a, b, c in zip(w, y, z))
+
+
+def ref_compute_E(R):
+    """E_ijk as the membership docstring defines it, with RJ by a product with J."""
+    r, s = R.rows, (R * make_J(R.genus)).rows
+    return {
+        (i + 1, j + 1, k + 1): triple_dot(s[i], r[j], r[k]) - triple_dot(r[i], s[j], r[k])
+        + triple_dot(r[i], r[j], s[k])
+        for i, j, k in itertools.combinations(range(2 * R.genus), 3)
+    }

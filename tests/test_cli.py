@@ -260,11 +260,14 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
-def test_malformed_json_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("text", ["{not json", "[" * 100_000 + "]" * 100_000],
+                         ids=["not_json", "nested_too_deeply"])
+def test_malformed_json_exits_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _ = run(capsys, ["check-mcg", str(path)])
-    assert code == 2
+    path.write_text(text)
+    assert main(["check-mcg", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_non_symplectic_matrix_exits_2(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 wedge2_sp_action / wedge3_sp_action go through Lambda^2 R; the oracles in
 helpers expand every term by minors.  symplectic_check and
-symplectic_inverse apply J as a signed block swap; the oracles multiply by J.
+symplectic_inverse apply J as a signed block swap; the oracles multiply by J
+or check the g x g block identities.  compute_E is compared with its defining
+triple-product formula.
 """
 
 import itertools
@@ -16,16 +18,21 @@ from jmrep import (
     SymplecticMatrix,
     Wedge2,
     Wedge3,
+    compute_E,
     make_J,
     symplectic_check,
     symplectic_inverse,
+    transvection,
     wedge2_sp_action,
     wedge3_sp_action,
 )
 from helpers import (
+    block_constraints,
+    rand_nonzero_vector,
     rand_symplectic,
     rand_wedge2,
     rand_wedge3,
+    ref_compute_E,
     ref_symplectic_form,
     ref_symplectic_inverse,
     ref_wedge2_sp_action,
@@ -101,6 +108,7 @@ def test_symplectic_check_matches_the_definition(g):
     mats += [rand_symplectic(rng, g) for _ in range(5)]
     verdicts = [symplectic_check(M) for M in mats]
     assert verdicts == [ref_symplectic_form(M) == J for M in mats]
+    assert verdicts == [block_constraints(M).all_hold() for M in mats]
     assert any(verdicts) and not all(verdicts)
 
 
@@ -113,6 +121,20 @@ def test_symplectic_inverse_matches_the_definition(g):
         assert isinstance(inv, SymplecticMatrix)
         assert IntMatrix(inv.rows) == ref_symplectic_inverse(M)
         assert M * inv == IntMatrix.identity(g)
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_compute_E_matches_the_definition(g):
+    rng = random.Random(500 + g)
+    mats = [rand_symplectic(rng, g) for _ in range(4)]
+    # transvections along vectors with entries up to 3, and their products
+    for _ in range(4):
+        M = SymplecticMatrix.identity(g)
+        for _ in range(rng.randint(1, 3)):
+            M = M * transvection(rand_nonzero_vector(rng, g, bound=3))
+        mats.append(M)
+    for M in mats:
+        assert compute_E(M) == ref_compute_E(M)
 
 
 @pytest.mark.parametrize("g", (1, 2, 3))

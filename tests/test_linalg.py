@@ -11,16 +11,13 @@ from jmrep import (
     SymplecticMatrix,
     basis_label,
     basis_vector,
-    block_constraints,
-    make_C,
     make_J,
     pairing,
     symplectic_check,
     symplectic_inverse,
     transvection,
-    triple_dot,
 )
-from helpers import rand_symplectic, rand_vector
+from helpers import block_constraints, rand_symplectic, rand_vector
 
 
 def test_make_J_small_genus():
@@ -36,13 +33,6 @@ def test_make_J_small_genus():
 def test_J_squares_to_minus_identity():
     J = make_J(1)
     assert (J * J).rows == ((-1, 0), (0, -1))
-
-
-def test_make_C_swaps_blocks():
-    assert make_C(1).rows == ((0, 1), (1, 0))
-    C = make_C(2)
-    assert (C * C) == IntMatrix.identity(2)
-    assert C * basis_vector(2, 1) == basis_vector(2, 3)
 
 
 def test_symplectic_check():
@@ -81,6 +71,10 @@ def test_symplectic_inverse_is_two_sided(seed):
         assert inv * M == IntMatrix.identity(g)
 
 
+# block_constraints is the block-wise oracle for symplectic_check in
+# test_kernels; these two tests check the oracle itself.
+
+
 def test_block_constraints_frozen_cases():
     assert block_constraints(SymplecticMatrix.identity(3)).all_hold()
     J = SymplecticMatrix(make_J(2).rows)
@@ -115,14 +109,6 @@ def test_pairing_is_symplectic_invariant(seed):
     R = rand_symplectic(rng, g)
     u, v = rand_vector(rng, g), rand_vector(rng, g)
     assert pairing(R * u, R * v) == pairing(u, v)
-
-
-def test_triple_dot():
-    assert triple_dot((1, 2, 3), (1, 1, 1), (0, 1, 0)) == 2
-    assert triple_dot((1, 0), (0, 1), (1, 1)) == 0  # disjoint supports
-    assert triple_dot((1, 2), (3, 4), (5, 6)) == triple_dot((3, 4), (1, 2), (5, 6))
-    with pytest.raises(ValueError):
-        triple_dot((1,), (1, 2), (1, 2))
 
 
 def test_transvection_frozen_matrix():

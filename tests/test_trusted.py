@@ -1,5 +1,6 @@
 """Closed operations build their results through the private trusted
-constructors (_Wedge._of, HVector._of, IntMatrix._of) and skip validation.
+constructors (_Wedge._of, HVector._of, IntMatrix._of, FreeWord._of) and skip
+validation.
 
 The first tests check that every such result is still in canonical form: it
 equals its copy rebuilt through the public constructor and holds no zero
@@ -12,6 +13,7 @@ import pytest
 
 import jmrep.linalg as linalg
 import jmrep.wedge as wedge
+import jmrep.words as words
 from jmrep import (
     HomHW2,
     HVector,
@@ -19,8 +21,21 @@ from jmrep import (
     SymplecticMatrix,
     Wedge3,
     act_on_phi2,
+    boundary_word,
     canonical_lift,
     compute_E,
+    decode_hvector,
+    decode_matrix,
+    decode_wedge2,
+    decode_wedge3,
+    decode_word,
+    encode_hvector,
+    encode_matrix,
+    encode_wedge2,
+    encode_wedge3,
+    encode_word,
+    endo_apply,
+    endo_compose,
     handlebody_membership,
     half_wedge2_of,
     kappa,
@@ -36,8 +51,10 @@ from jmrep import (
     wedge3_decode,
     wedge3_embed,
     wedge3_sp_action,
+    word_reduce,
 )
 from helpers import (
+    catalog_specs,
     rand_member,
     rand_pi_point,
     rand_symplectic,
@@ -136,6 +153,13 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
     p = rand_pi_point(rng, g)
     word = rand_word(rng, g)
     m = wedge3_embed(f.r)
+    e, e2 = catalog_specs(g)[:2]
+    docs = [(decode_wedge2, encode_wedge2(p.eta)), (decode_wedge3, encode_wedge3(f.r)),
+            (decode_word, encode_word(word)), (decode_hvector, encode_hvector(p.y)),
+            (decode_matrix, encode_matrix(f.R))]
+    # unsorted and repeated indices, accepted and signed by the decoder
+    docs.append((decode_wedge3, {"genus": g, "terms": [{"idx": [2, 1, 3], "twice": 4},
+                                                       {"idx": [1, 1, 2], "twice": 1}]}))
 
     def refuse(*args):
         raise AssertionError("validation ran inside a closed operation")
@@ -143,6 +167,7 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
     monkeypatch.setattr(wedge, "_build_twice", refuse)
     monkeypatch.setattr(linalg, "_as_int_tuple", refuse)
     monkeypatch.setattr(linalg, "symplectic_check", refuse)
+    monkeypatch.setattr(words, "_check_letters", refuse)
 
     rho2_mul(f, f2)
     rho2_inv(f)
@@ -154,3 +179,11 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
     preserves_phi2_b(f)
     assert wedge3_decode(m) == f.r
     phi2_eval_word(word)
+    endo_apply(e, word)
+    endo_compose(e, e2)
+    assert word_reduce(word * word.inverse()).letters == ()
+    (word * word).reduced()
+    boundary_word(g)
+    for decode, doc in docs:
+        decode(doc)
+    assert decode_wedge3(docs[-1][1]).terms() == (((1, 2, 3), -4),)
