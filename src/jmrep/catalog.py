@@ -19,19 +19,18 @@ is trusted beyond what these checks establish.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import NotInWedge3, NotSymplectic
 from .jsonio import _genus_of, _int_list, _require
-from .linalg import SymplecticMatrix
+from .linalg import SymplecticMatrix, _require_symplectic
 from .membership import handlebody_membership, handlebody_sp_check
 from .rho2 import tau2_from_endo
 from .words import EndomorphismSpec, boundary_word, endo_apply, endo_compose
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A named automorphism with an explicit inverse and a handlebody claim."""
 
     name: str
@@ -44,8 +43,7 @@ class CatalogEntry:
         return self.spec.genus
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     name: str
     failures: tuple
 
@@ -66,9 +64,10 @@ def validate_entry(entry: CatalogEntry) -> ValidationReport:
     if not endo_compose(entry.inverse_spec, entry.spec).is_identity():
         failures.append("inverse_spec o spec is not the identity")
 
-    ab = entry.spec.abelianization()
+    # abelianization() builds a trusted square int matrix: only check M J M~ = J
+    R = SymplecticMatrix._of(entry.spec.abelianization().rows)
     try:
-        R = SymplecticMatrix(ab.rows)
+        _require_symplectic(R)
     except NotSymplectic:
         R = None
         failures.append("abelianization is not symplectic")

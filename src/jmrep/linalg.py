@@ -20,6 +20,11 @@ No routine here multiplies by J: it only swaps the a- and b-blocks with a sign. 
 symplectic check compares (M J M~)_ab = sum_k (M_a,k+g M_b,k - M_a,k M_b,k+g)
 with J_ab for a < b, and the inverse of M = (S T; P Q) in g x g blocks is
 (Q~ -T~; -P~ S~).
+
+Rows are never reassigned after construction, so what depends on a matrix
+alone is computed once and kept in its private _memo: the columns and, for a
+SymplecticMatrix, the E map of membership.compute_E.  The memo takes no part
+in equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -135,7 +140,7 @@ def basis_vector(genus: int, i: int) -> HVector:
 class IntMatrix:
     """A square integer matrix of even dimension 2g, acting on column vectors."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_memo")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(_as_int_tuple(row) for row in rows)
@@ -145,6 +150,7 @@ class IntMatrix:
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         self.rows = rows
+        self._memo = {}
 
     @classmethod
     def _of(cls, rows: tuple):
@@ -152,7 +158,20 @@ class IntMatrix:
         symplectic when cls is SymplecticMatrix."""
         m = object.__new__(cls)
         m.rows = rows
+        m._memo = {}
         return m
+
+    def _derived(self, key: str, build):
+        """build(self), computed on the first call for `key` and kept."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build(self)
+            return value
+
+    def _cols(self) -> tuple:
+        """The columns as a tuple of 2g int tuples, i.e. zip(*rows)."""
+        return self._derived("cols", lambda m: tuple(zip(*m.rows)))
 
     @property
     def dim(self) -> int:
@@ -172,14 +191,14 @@ class IntMatrix:
         return self.rows[i - 1][j - 1]
 
     def col(self, j: int) -> tuple:
-        return tuple(row[j - 1] for row in self.rows)
+        return self._cols()[j - 1]
 
     def column_vector(self, j: int) -> HVector:
         """Column j as an element of H, i.e. the image of x_j."""
         return HVector._of(self.col(j))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._of(tuple(zip(*self.rows)))
+        return IntMatrix._of(self._cols())
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._of(tuple(tuple(-x for x in row) for row in self.rows))
@@ -188,7 +207,7 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if other.dim != self.dim:
                 raise GenusMismatch(f"dimension {self.dim} vs {other.dim}")
-            cols = tuple(zip(*other.rows))
+            cols = other._cols()
             rows = tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                 for row in self.rows
@@ -276,7 +295,7 @@ def symplectic_inverse(M: SymplecticMatrix) -> SymplecticMatrix:
     if not isinstance(M, SymplecticMatrix):
         raise NotSymplectic("symplectic_inverse needs a SymplecticMatrix")
     g = M.genus
-    cols = tuple(zip(*M.rows))
+    cols = M._cols()
     top = [col[g:] + tuple(-x for x in col[:g]) for col in cols[g:]]
     bottom = [tuple(-x for x in col[g:]) + col[:g] for col in cols[:g]]
     return SymplecticMatrix._of(tuple(top + bottom))

@@ -14,6 +14,9 @@ picks the representative with doubled coefficients in {0, 1}.
 
 A pair comes from a mapping class of the handlebody iff additionally the
 upper-right g x g block of R vanishes and r has no a^a^a terms.
+
+E depends on R alone, so compute_E keeps the map in R's per-matrix memo (see
+linalg): a lift and the membership tests after it on one matrix share it.
 """
 
 from __future__ import annotations
@@ -28,9 +31,14 @@ from .wedge import Wedge2, Wedge3
 
 
 def compute_E(R: SymplecticMatrix) -> dict:
-    """The complete map (i, j, k) -> E_ijk over all triples i < j < k."""
+    """The complete map (i, j, k) -> E_ijk over all triples i < j < k, as a
+    fresh copy of the map kept on R, so the caller may change it."""
     if not isinstance(R, SymplecticMatrix):
         raise TypeError("compute_E needs a SymplecticMatrix")
+    return dict(R._derived("E", _E_map))
+
+
+def _E_map(R: SymplecticMatrix) -> dict:
     g, rows = R.genus, R.rows
     # J as a signed block swap: row i of RJ is (row_i(R)[g:], -row_i(R)[:g])
     RJ = [row[g:] + tuple(-x for x in row[:g]) for row in rows]

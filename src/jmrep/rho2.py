@@ -32,7 +32,7 @@ wedge3_decode raises NotInWedge3).
 from __future__ import annotations
 
 from .errors import GenusMismatch, NotSymplectic
-from .linalg import HVector, SymplecticMatrix, basis_vector
+from .linalg import HVector, SymplecticMatrix, _require_symplectic, basis_vector
 from .phi2 import Phi2Element, phi2_eval_word
 from .wedge import (
     HomHW2,
@@ -107,10 +107,14 @@ def act_on_phi2(f: Rho2Element, p: Phi2Element) -> Phi2Element:
     """The left action of (r, R) on Phi_2.
 
     (r, R) * (eta, y) = (R eta - kappa(Ry) + R kappa(y) + r(Ry), Ry).
+
+    At a central point (eta, 0) the last three terms vanish, leaving (R eta, 0).
     """
     if f.genus != p.genus:
         raise GenusMismatch(f"genus {f.genus} vs {p.genus}")
     R = f.R
+    if p.y.is_zero():
+        return Phi2Element(wedge2_sp_action(R, p.eta), p.y)
     Ry = R * p.y
     eta = (
         wedge2_sp_action(R, p.eta)
@@ -130,8 +134,10 @@ def tau2_tilde_from_endo(endo: EndomorphismSpec):
     identity.
     """
     pairs = [phi2_eval_word(w) for w in endo.images]
+    # phi2_eval_word computed the columns: only M J M~ = J is left to check
+    R = SymplecticMatrix._of(tuple(zip(*(p.y.coeffs for p in pairs))))
     try:
-        R = SymplecticMatrix(zip(*(p.y.coeffs for p in pairs)))
+        _require_symplectic(R)
     except NotSymplectic as exc:
         raise NotSymplectic("endomorphism abelianization is not symplectic") from exc
     return HomHW2(tuple(p.eta for p in pairs)), R

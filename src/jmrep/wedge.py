@@ -28,12 +28,13 @@ element of (1/2)W3(H) fails it and raises NotInWedge3.
 R acts on W3(H) through Lambda^2 R: grouping r by
 first index, r = sum_i x_i ^ rho_i with rho_i = sum_(j<k) r_ijk x_j^x_k, and
 R r = sum_i R x_i ^ (Lambda^2 R)(rho_i), where (Lambda^2 R)(rho_i) =
-sum_j R x_j ^ R(sum_k r_ijk x_k) is accumulated in a dense array.
+sum_j R x_j ^ R(sum_k r_ijk x_k) is accumulated in a dense array.  On W2(H)
+that path serves forms of two or more terms; zero maps to zero, and t x_j^x_k
+to t (R x_j ^ R x_k) by 2x2 minors of the columns that R memoizes (see linalg).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import GenusMismatch, NotInWedge3
@@ -47,6 +48,8 @@ from .linalg import (
 
 
 def _fmt_terms(twice_map, genus):
+    from fractions import Fraction  # only repr needs it; keeps it out of start-up
+
     parts = []
     for idx, t in sorted(twice_map.items()):
         mono = "^".join(basis_label(i, genus) for i in idx)
@@ -206,17 +209,21 @@ def half_wedge2_of(u: HVector, v: HVector) -> Wedge2:
     """(1/2) u ^ v, the correction term of the two-step nilpotent product."""
     if u.genus != v.genus:
         raise GenusMismatch(f"genus {u.genus} vs {v.genus}")
-    n = 2 * u.genus
-    uc, vc = u.coeffs, v.coeffs
+    return Wedge2._of(u.genus, _pair_minors(u.coeffs, v.coeffs, 1))
+
+
+def _pair_minors(u, v, t) -> dict:
+    """t times the nonzero 2x2 minors u_p v_q - u_q v_p (p < q) of two coordinate
+    tuples, keyed by 1-based pairs: the doubled coefficients of (t/2) u ^ v."""
+    live = [p for p, (up, vp) in enumerate(zip(u, v)) if up or vp]
     out = {}
-    for i in range(n):
-        if not (uc[i] or vc[i]):
-            continue
-        for j in range(i + 1, n):
-            c = uc[i] * vc[j] - uc[j] * vc[i]
+    for x, p in enumerate(live):
+        up, vp = u[p], v[p]
+        for q in live[x + 1:]:
+            c = up * v[q] - u[q] * vp
             if c:
-                out[(i + 1, j + 1)] = c
-    return Wedge2._of(u.genus, out)
+                out[(p + 1, q + 1)] = t * c
+    return out
 
 
 def wedge2_of(u: HVector, v: HVector) -> Wedge2:
@@ -290,7 +297,7 @@ class HomHW2:
         if M.genus != self.genus:
             raise GenusMismatch(f"genus {self.genus} vs {M.genus}")
         new = []
-        for col in zip(*M.rows):
+        for col in M._cols():
             acc = {}
             for c, img in zip(col, self.images):
                 if c:
@@ -423,7 +430,14 @@ def wedge2_sp_action(R: IntMatrix, w: Wedge2) -> Wedge2:
     """R acting on W2(H): x_i ^ x_j -> (R x_i) ^ (R x_j), extended linearly."""
     if R.genus != w.genus:
         raise GenusMismatch(f"genus {R.genus} vs {w.genus}")
-    A = _lambda2(tuple(zip(*R.rows)), w._twice.items())
+    twice = w._twice
+    if not twice:
+        return w
+    cols = R._cols()
+    if len(twice) == 1:  # t x_j^x_k -> t Rx_j^Rx_k
+        ((j, k), t), = twice.items()
+        return Wedge2._of(w.genus, _pair_minors(cols[j - 1], cols[k - 1], t))
+    A = _lambda2(cols, twice.items())
     return Wedge2._of(
         w.genus,
         {(p + 1, q + 1): a for p, row in enumerate(A) for q, a in enumerate(row) if a},
@@ -438,7 +452,7 @@ def wedge3_sp_action(R: IntMatrix, r: Wedge3) -> Wedge3:
     """
     if R.genus != r.genus:
         raise GenusMismatch(f"genus {R.genus} vs {r.genus}")
-    cols = tuple(zip(*R.rows))
+    cols = R._cols()
     rho = {}
     for (i, j, k), t in r._twice.items():
         rho.setdefault(i, []).append(((j, k), t))

@@ -21,9 +21,11 @@ from jmrep import (
     canonical_lift,
     catalog,
     endo_compose,
+    kappa,
     make_J,
     phi2_eval_word,
     transvection,
+    wedge3_apply,
 )
 
 WORD_GUARD = 10_000
@@ -137,6 +139,16 @@ def ref_wedge2_sp_action(R, w):
             if c:
                 out[(p + 1, q + 1)] = out.get((p + 1, q + 1), 0) + t * c
     return Wedge2(w.genus, out)
+
+
+def ref_act_on_phi2(f, p):
+    """(r, R) * (eta, y) = (R eta - kappa(Ry) + R kappa(y) + r(Ry), Ry), every
+    term evaluated, with the Lambda^2 action by minors."""
+    R = f.R
+    Ry = R * p.y
+    eta = (ref_wedge2_sp_action(R, p.eta) - kappa(Ry)
+           + ref_wedge2_sp_action(R, kappa(p.y)) + wedge3_apply(f.r, Ry))
+    return Phi2Element(eta, Ry)
 
 
 def ref_wedge3_sp_action(R, r):

@@ -10,6 +10,7 @@ from jmrep import (
     catalog,
     entry_from_dict,
     entry_to_dict,
+    ValidationReport,
     tau2_from_endo,
     transvection,
     validate_entry,
@@ -95,6 +96,20 @@ def test_validation_rejects_false_handlebody_claim():
     lied = CatalogEntry(good.name, good.spec, good.inverse_spec, True)
     report = validate_entry(lied)
     assert any("claimed handlebody" in f for f in report.failures)
+
+
+def test_entry_and_report_records():
+    good = next(e for e in catalog(2) if e.name == "twist_a_1")
+    same = CatalogEntry(good.name, good.spec, good.inverse_spec, good.claimed_handlebody)
+    assert same == good and hash(same) == hash(good) and same.genus == 2
+    assert same != CatalogEntry(good.name, good.spec, good.spec, good.claimed_handlebody)
+    assert repr(good).startswith("CatalogEntry(name='twist_a_1', spec=EndomorphismSpec(")
+    assert repr(good).endswith(", claimed_handlebody=False)")
+    report = validate_entry(good)
+    assert report == ValidationReport("twist_a_1", ()) and report.passed
+    bad = ValidationReport("x", ("boundary word is not fixed",))
+    assert repr(bad) == "ValidationReport(name='x', failures=('boundary word is not fixed',))"
+    assert (bad.name, bad.failures, bad.passed) == ("x", ("boundary word is not fixed",), False)
 
 
 def test_entry_dict_roundtrip():

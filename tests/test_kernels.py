@@ -5,6 +5,11 @@ helpers expand every term by minors.  symplectic_check and
 symplectic_inverse apply J as a signed block swap; the oracles multiply by J
 or check the g x g block identities.  compute_E is compared with its defining
 triple-product formula.
+
+wedge2_sp_action acts on the zero form and on one-term forms without
+Lambda^2 R, act_on_phi2 skips the vanishing terms at a central point
+(eta, 0), and compute_E keeps its map on the matrix; the tests below compare
+each shortcut with the full computation.
 """
 
 import itertools
@@ -15,23 +20,31 @@ import pytest
 from jmrep import (
     IntMatrix,
     NotSymplectic,
+    Phi2Element,
+    Rho2Element,
     SymplecticMatrix,
     Wedge2,
     Wedge3,
+    act_on_phi2,
+    canonical_lift,
     compute_E,
     make_J,
+    mcg_membership,
     symplectic_check,
     symplectic_inverse,
     transvection,
     wedge2_sp_action,
     wedge3_sp_action,
+    zero_vector,
 )
 from helpers import (
     block_constraints,
     rand_nonzero_vector,
+    rand_phi2,
     rand_symplectic,
     rand_wedge2,
     rand_wedge3,
+    ref_act_on_phi2,
     ref_compute_E,
     ref_symplectic_form,
     ref_symplectic_inverse,
@@ -53,10 +66,10 @@ def twist_matrix(rng, g):
     return SymplecticMatrix(rows)
 
 
-def sparse_wedge(rng, g, k):
-    """At most two terms of arity k; zero when there are no k-tuples (k = 3, g = 1)."""
+def sparse_wedge(rng, g, k, count=2):
+    """At most `count` terms of arity k; zero when there are no k-tuples (k = 3, g = 1)."""
     tuples = list(itertools.combinations(range(1, 2 * g + 1), k))
-    picks = rng.sample(tuples, min(2, len(tuples)))
+    picks = rng.sample(tuples, min(count, len(tuples)))
     return {2: Wedge2, 3: Wedge3}[k](g, {t: rng.choice((-3, -1, 1, 2)) for t in picks})
 
 
@@ -68,11 +81,43 @@ def test_kernels_match_the_minor_expansion(g):
              for _ in range(3)]
     cases += [(rand_symplectic(rng, g, length=6), rand_wedge2(rng, g), rand_wedge3(rng, g))
               for _ in range(dense_rounds)]
+    one_term = [Wedge2(g, {p: t}) for p in itertools.combinations(range(1, 2 * g + 1), 2)
+                for t in (1, -2)]
     for R, w, r in cases:
-        assert wedge2_sp_action(R, w) == ref_wedge2_sp_action(R, w)
+        # the dense form, then zero, every one-term form and a two-term form,
+        # which wedge2_sp_action handles without Lambda^2 R
+        for form in (w, Wedge2.zero(g), *one_term, sparse_wedge(rng, g, 2)):
+            assert wedge2_sp_action(R, form) == ref_wedge2_sp_action(R, form)
         assert wedge3_sp_action(R, r) == ref_wedge3_sp_action(R, r)
         if g == 1:
             assert r.is_zero() and wedge3_sp_action(R, r).is_zero()
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_act_on_phi2_at_central_points_matches_the_full_formula(g):
+    rng = random.Random(700 + g)
+    zero = zero_vector(g)
+    for _ in range(3):
+        f = Rho2Element(rand_wedge3(rng, g), rand_symplectic(rng, g))
+        for eta in (*(sparse_wedge(rng, g, 2, n) for n in (0, 1, 2)), rand_wedge2(rng, g)):
+            p = Phi2Element(eta, zero)
+            assert act_on_phi2(f, p) == ref_act_on_phi2(f, p)
+        p = rand_phi2(rng, g)
+        assert act_on_phi2(f, p) == ref_act_on_phi2(f, p)
+
+
+def test_changing_a_returned_E_map_leaves_the_memo_intact():
+    rng = random.Random(900)
+    spoilers = (lambda E: E.update({t: e + 1 for t, e in E.items()}), dict.clear)
+    for g in (2, 3, 4):
+        R = rand_symplectic(rng, g)
+        fresh = SymplecticMatrix(R.rows)  # same matrix, its own empty memo
+        want_E, want_lift = ref_compute_E(fresh), canonical_lift(fresh)
+        for spoil in spoilers:
+            spoil(compute_E(R))
+            assert compute_E(R) == want_E
+            assert canonical_lift(R) == want_lift
+            assert mcg_membership(Rho2Element(want_lift.r, R))
 
 
 @pytest.mark.parametrize("k", (2, 3))

@@ -4,7 +4,8 @@ validation.
 
 The first tests check that every such result is still in canonical form: it
 equals its copy rebuilt through the public constructor and holds no zero
-coefficient.  The last one checks that the hot paths really skip validation.
+coefficient; the memoized columns of a matrix equal zip(*rows).  The last
+one checks that the hot paths really skip validation.
 """
 
 import random
@@ -23,6 +24,7 @@ from jmrep import (
     act_on_phi2,
     boundary_word,
     canonical_lift,
+    catalog,
     compute_E,
     decode_hvector,
     decode_matrix,
@@ -46,6 +48,9 @@ from jmrep import (
     rho2_mul,
     symplectic_check,
     symplectic_inverse,
+    tau2_from_endo,
+    transvection,
+    validate_entry,
     wedge2_sp_action,
     wedge3_apply,
     wedge3_decode,
@@ -146,6 +151,25 @@ def test_vector_and_matrix_operations_stay_canonical(g):
     assert R * R.inverse() == IntMatrix.identity(g)
 
 
+@pytest.mark.parametrize("g", range(1, 6))
+def test_memoized_columns_match_the_rows(g):
+    rng = random.Random(750 + g)
+    R, S = rand_symplectic(rng, g), rand_symplectic(rng, g)
+    A = IntMatrix(R.rows)
+    for M in (R, S, A):
+        M._cols()  # operands with a filled memo
+    results = (R * S, A * R, R * A, R.inverse(), symplectic_inverse(S), A.transpose(),
+               R.transpose(), -A, -R, SymplecticMatrix.identity(g),
+               transvection(rand_vector(rng, g, bound=1)), decode_matrix(encode_matrix(S)))
+    for M in (R, S, A, *results):
+        cols = tuple(zip(*M.rows))
+        assert M._cols() == cols
+        assert tuple(M.col(j) for j in range(1, 2 * g + 1)) == cols
+        # the memo takes no part in equality, hashing or repr
+        bare = type(M)._of(M.rows)
+        assert M == bare and hash(M) == hash(bare) and repr(M) == repr(bare)
+
+
 def test_closed_operations_do_not_revalidate(monkeypatch):
     rng = random.Random(800)
     g = 3
@@ -154,6 +178,8 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
     word = rand_word(rng, g)
     m = wedge3_embed(f.r)
     e, e2 = catalog_specs(g)[:2]
+    entry = next(x for x in catalog(g) if x.claimed_handlebody)
+    real_symplectic_check = linalg.symplectic_check
     docs = [(decode_wedge2, encode_wedge2(p.eta)), (decode_wedge3, encode_wedge3(f.r)),
             (decode_word, encode_word(word)), (decode_hvector, encode_hvector(p.y)),
             (decode_matrix, encode_matrix(f.R))]
@@ -187,3 +213,9 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
     for decode, doc in docs:
         decode(doc)
     assert decode_wedge3(docs[-1][1]).terms() == (((1, 2, 3), -4),)
+
+    # R computed from words must still pass M J M~ = J, but its integers,
+    # computed by the words layer, are not checked again
+    monkeypatch.setattr(linalg, "symplectic_check", real_symplectic_check)
+    tau2_from_endo(e)
+    assert validate_entry(entry).passed
