@@ -29,6 +29,7 @@ in equality, hashing or repr.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable
 
 from .errors import GenusMismatch, NotSymplectic
@@ -209,7 +210,7 @@ class IntMatrix:
                 raise GenusMismatch(f"dimension {self.dim} vs {other.dim}")
             cols = other._cols()
             rows = tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                tuple(sum(map(mul, row, col)) for col in cols)
                 for row in self.rows
             )
             if isinstance(self, SymplecticMatrix) and isinstance(other, SymplecticMatrix):
@@ -219,7 +220,7 @@ class IntMatrix:
             if other.genus != self.genus:
                 raise GenusMismatch(f"genus {self.genus} vs {other.genus}")
             return HVector._of(
-                tuple(sum(a * b for a, b in zip(row, other.coeffs)) for row in self.rows)
+                tuple(sum(map(mul, row, other.coeffs)) for row in self.rows)
             )
         return NotImplemented
 
@@ -255,7 +256,7 @@ def _symplectic_defect(M: IntMatrix):
         lo, hi = ra[:g], ra[g:]
         for b in range(a + 1, 2 * g):
             rb = rows[b]
-            got = sum(x * y for x, y in zip(hi, rb)) - sum(x * y for x, y in zip(lo, rb[g:]))
+            got = sum(map(mul, hi, rb)) - sum(map(mul, lo, rb[g:]))
             want = -1 if b == a + g else 0
             if got != want:
                 return a + 1, b + 1, got, want

@@ -13,7 +13,22 @@ over R is a coset of the integral lattice W3(H), and canonical_lift
 picks the representative with doubled coefficients in {0, 1}.
 
 A pair comes from a mapping class of the handlebody iff additionally the
-upper-right g x g block of R vanishes and r has no a^a^a terms.
+upper-right g x g block of R vanishes and r has no a^a^a terms.  Dynamically,
+these are the pairs whose action on Phi_2 maps phi_2(b), the image of the
+loops that bound in the handlebody, onto itself (preserves_phi2_b).
+
+It suffices to check that f = (r, R) maps the generators (0, b_i), (a_i^b_j, 0)
+and (b_i^b_j, 0) of phi_2(b) into phi_2(b); f^-1 need not be checked:
+
+- The images of the (0, b_i) put each R b_i in B = span(b_1..b_g).  R maps the
+  rational span of B onto itself, R^-1 is integral, and B holds every integral
+  point of its span, so R(B) = B.
+- The images of the central generators put Lambda^2 R(L) inside
+  L = {eta : (eta, 0) in phi_2(b)}, the integral lattice of B^H.  Lambda^2 R
+  maps the span of L onto itself, Lambda^2 R^-1 is integral, and L too holds
+  every integral point of its span, so Lambda^2 R(L) = L.
+- Hence f(phi_2(b)) contains the central part of phi_2(b) and elements over
+  every y in B, so f(phi_2(b)) = phi_2(b).
 
 E depends on R alone, so compute_E keeps the map in R's per-matrix memo (see
 linalg): a lift and the membership tests after it on one matrix share it.
@@ -26,7 +41,7 @@ from operator import mul
 
 from .linalg import HVector, SymplecticMatrix, basis_vector
 from .phi2 import Phi2Element, phi2_b_membership
-from .rho2 import Rho2Element, act_on_phi2, rho2_inv
+from .rho2 import Rho2Element, act_on_phi2
 from .wedge import Wedge2, Wedge3
 
 
@@ -147,14 +162,10 @@ def _b_image_generators(genus: int):
 
 
 def preserves_phi2_b(f: Rho2Element) -> bool:
-    """True iff the action of f and of f^-1 maps phi_2(b) into itself.
+    """True iff the action of f maps phi_2(b) onto itself.
 
-    The action of any pair is an automorphism of Phi_2, so it is enough
-    to check a generating set of phi_2(b) in both directions.
+    The action of any pair is an automorphism of Phi_2, so it is enough to
+    check that f maps each generator of phi_2(b) into phi_2(b): the inverse
+    direction follows (see the module docstring).
     """
-    gens = _b_image_generators(f.genus)
-    for h in (f, rho2_inv(f)):
-        for p in gens:
-            if not phi2_b_membership(act_on_phi2(h, p)):
-                return False
-    return True
+    return all(phi2_b_membership(act_on_phi2(f, p)) for p in _b_image_generators(f.genus))

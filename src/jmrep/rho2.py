@@ -106,9 +106,11 @@ def rho2_inv(f: Rho2Element) -> Rho2Element:
 def act_on_phi2(f: Rho2Element, p: Phi2Element) -> Phi2Element:
     """The left action of (r, R) on Phi_2.
 
-    (r, R) * (eta, y) = (R eta - kappa(Ry) + R kappa(y) + r(Ry), Ry).
+    (r, R) * (eta, y) = (R eta - kappa(Ry) + R kappa(y) + r(Ry), Ry),
 
-    At a central point (eta, 0) the last three terms vanish, leaving (R eta, 0).
+    computed as (R(eta + kappa(y)) - kappa(Ry) + r(Ry), Ry): R acts linearly
+    on W2(H), so one Lambda^2 action serves both terms.  At a central point
+    (eta, 0) the kappa and r terms vanish, leaving (R eta, 0).
     """
     if f.genus != p.genus:
         raise GenusMismatch(f"genus {f.genus} vs {p.genus}")
@@ -116,12 +118,7 @@ def act_on_phi2(f: Rho2Element, p: Phi2Element) -> Phi2Element:
     if p.y.is_zero():
         return Phi2Element(wedge2_sp_action(R, p.eta), p.y)
     Ry = R * p.y
-    eta = (
-        wedge2_sp_action(R, p.eta)
-        - kappa(Ry)
-        + wedge2_sp_action(R, kappa(p.y))
-        + wedge3_apply(f.r, Ry)
-    )
+    eta = wedge2_sp_action(R, p.eta + kappa(p.y)) - kappa(Ry) + wedge3_apply(f.r, Ry)
     return Phi2Element(eta, Ry)
 
 

@@ -29,8 +29,9 @@ R acts on W3(H) through Lambda^2 R: grouping r by
 first index, r = sum_i x_i ^ rho_i with rho_i = sum_(j<k) r_ijk x_j^x_k, and
 R r = sum_i R x_i ^ (Lambda^2 R)(rho_i), where (Lambda^2 R)(rho_i) =
 sum_j R x_j ^ R(sum_k r_ijk x_k) is accumulated in a dense array.  On W2(H)
-that path serves forms of two or more terms; zero maps to zero, and t x_j^x_k
-to t (R x_j ^ R x_k) by 2x2 minors of the columns that R memoizes (see linalg).
+that path serves forms of two or more terms, and t x_j^x_k maps to
+t (R x_j ^ R x_k) by 2x2 minors of the columns that R memoizes (see linalg).
+Both actions map zero to zero without touching R.
 """
 
 from __future__ import annotations
@@ -452,6 +453,8 @@ def wedge3_sp_action(R: IntMatrix, r: Wedge3) -> Wedge3:
     """
     if R.genus != r.genus:
         raise GenusMismatch(f"genus {R.genus} vs {r.genus}")
+    if not r._twice:
+        return r
     cols = R._cols()
     rho = {}
     for (i, j, k), t in r._twice.items():

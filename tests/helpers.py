@@ -18,12 +18,16 @@ from jmrep import (
     Wedge2,
     Wedge3,
     WordLengthExceeded,
+    act_on_phi2,
+    basis_vector,
     canonical_lift,
     catalog,
     endo_compose,
     kappa,
     make_J,
+    phi2_b_membership,
     phi2_eval_word,
+    rho2_inv,
     transvection,
     wedge3_apply,
 )
@@ -149,6 +153,39 @@ def ref_act_on_phi2(f, p):
     eta = (ref_wedge2_sp_action(R, p.eta) - kappa(Ry)
            + ref_wedge2_sp_action(R, kappa(p.y)) + wedge3_apply(f.r, Ry))
     return Phi2Element(eta, Ry)
+
+
+def ref_preserves_phi2_b(f):
+    """Both f and f^-1 map each generator (0, b_i), (a_i^b_j, 0), (b_i^b_j, 0)
+    of phi_2(b) into phi_2(b)."""
+    g = f.genus
+    zero2, zerov = Wedge2.zero(g), HVector((0,) * (2 * g))
+    gens = [Phi2Element(zero2, basis_vector(g, g + i)) for i in range(1, g + 1)]
+    gens += [Phi2Element(Wedge2(g, {(i, g + j): 2}), zerov)
+             for i in range(1, g + 1) for j in range(1, g + 1)]
+    gens += [Phi2Element(Wedge2(g, {(g + i, g + j): 2}), zerov)
+             for i, j in itertools.combinations(range(1, g + 1), 2)]
+    return all(phi2_b_membership(act_on_phi2(h, p)) for h in (f, rho2_inv(f)) for p in gens)
+
+
+def ref_matmul(A, B):
+    """Rows of A B for square row tuples, by the triple loop over i, j, k."""
+    n = len(A)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] += A[i][k] * B[k][j]
+    return tuple(tuple(row) for row in out)
+
+
+def ref_matvec(A, v):
+    """Coordinates of A v, by the double loop over i, k."""
+    out = [0] * len(A)
+    for i in range(len(A)):
+        for k in range(len(v)):
+            out[i] += A[i][k] * v[k]
+    return tuple(out)
 
 
 def ref_wedge3_sp_action(R, r):

@@ -1,0 +1,52 @@
+"""The verdicts of tools/bench_pairs.py on hand-made pairs of runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+@pytest.mark.parametrize("parent, change, better, verdict", [
+    # 10 of 10 wins and a median gap beyond the parent's IQR
+    ([100, 101, 99, 100, 102, 98, 100, 101, 99, 100], [120] * 10, "higher", "gain"),
+    ([1.0, 1.1, 0.9, 1.0], [0.5, 0.55, 0.45, 0.5], "lower", "gain"),
+    # 8 of 10 wins is short of nine tenths
+    ([100] * 10, [120] * 8 + [90] * 2, "higher", "within bound"),
+    ([100, 101, 99, 100], [70, 71, 69, 70], "higher", "worse than bound"),
+    ([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.3], "lower", "worse than bound"),
+    # the parent's IQR exceeds the 0.25 bound
+    ([50, 100, 150, 100, 60, 140], [90, 95, 110, 105, 100, 95], "higher", "unresolved"),
+    # ... unless every change run is better than every parent run
+    ([1, 10, 1, 10], [11, 11, 11, 11], "higher", "within bound"),
+])
+def test_verdicts(parent, change, better, verdict):
+    got = bench_pairs.compare(parent, change, better, 0.25)
+    assert got["verdict"] == verdict
+    assert got["runs"] == {"parent": parent, "change": change}
+
+
+def test_wins_quartiles_and_spread():
+    got = bench_pairs.compare([4, 2, 3, 1, 5], [1, 1, 9, 0, 1], "lower", 0.25)
+    assert got["change_wins"] == 4
+    assert got["parent"] == {"median": 3, "q1": 2, "q3": 4}
+    assert got["parent_spread"] == pytest.approx(2 / 3, abs=1e-4)
+    assert got["change_vs_parent"] == pytest.approx(-2 / 3, abs=1e-4)
+
+
+def test_workload_record_sums_the_runs():
+    def run(value, failed):
+        return {"failed": failed, "attempted": 200,
+                "metrics": {"ops_per_s": {"value": value, "unit": "1/s"}}}
+
+    spec = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+    runs = [(7, run(100, 0), run(130, 1)), (8, run(110, 2), run(140, 0))]
+    record = bench_pairs.workload_record(runs, spec)
+    assert record["seeds"] == [7, 8] and record["pairs"] == 2
+    assert record["failed"] == {"parent": 2, "change": 1}
+    assert record["attempted"] == {"parent": 400, "change": 400}
+    assert record["metrics"]["ops_per_s"]["change_wins"] == 2

@@ -7,9 +7,12 @@ or check the g x g block identities.  compute_E is compared with its defining
 triple-product formula.
 
 wedge2_sp_action acts on the zero form and on one-term forms without
-Lambda^2 R, act_on_phi2 skips the vanishing terms at a central point
-(eta, 0), and compute_E keeps its map on the matrix; the tests below compare
-each shortcut with the full computation.
+Lambda^2 R, wedge3_sp_action returns the zero form at once, act_on_phi2
+skips the vanishing terms at a central point (eta, 0) and elsewhere applies
+Lambda^2 R once, to eta + kappa(y), and compute_E keeps its map on the
+matrix; the tests below compare each shortcut with the full computation.
+The matrix products are compared with the triple loop on entries beyond
+2^64.
 """
 
 import itertools
@@ -18,6 +21,8 @@ import random
 import pytest
 
 from jmrep import (
+    GenusMismatch,
+    HVector,
     IntMatrix,
     NotSymplectic,
     Phi2Element,
@@ -46,6 +51,8 @@ from helpers import (
     rand_wedge3,
     ref_act_on_phi2,
     ref_compute_E,
+    ref_matmul,
+    ref_matvec,
     ref_symplectic_form,
     ref_symplectic_inverse,
     ref_wedge2_sp_action,
@@ -104,6 +111,53 @@ def test_act_on_phi2_at_central_points_matches_the_full_formula(g):
             assert act_on_phi2(f, p) == ref_act_on_phi2(f, p)
         p = rand_phi2(rng, g)
         assert act_on_phi2(f, p) == ref_act_on_phi2(f, p)
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_act_on_phi2_at_non_central_points_matches_the_full_formula(g):
+    # act_on_phi2 applies Lambda^2 R once, to eta + kappa(y); the oracle applies
+    # it to eta and to kappa(y) apart
+    rng = random.Random(750 + g)
+    for _ in range(3):
+        R = rand_symplectic(rng, g)
+        for f in (Rho2Element(rand_wedge3(rng, g), R), Rho2Element(Wedge3.zero(g), R)):
+            for eta in (*(sparse_wedge(rng, g, 2, n) for n in (0, 1, 2)), rand_wedge2(rng, g)):
+                p = Phi2Element(eta, rand_nonzero_vector(rng, g))
+                assert act_on_phi2(f, p) == ref_act_on_phi2(f, p)
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+def test_zero_forms_map_to_zero_of_their_genus(g):
+    rng = random.Random(800 + g)
+    R = rand_symplectic(rng, g)
+    for act, zero in ((wedge2_sp_action, Wedge2.zero), (wedge3_sp_action, Wedge3.zero)):
+        image = act(R, zero(g))
+        assert image == zero(g) and image.genus == g
+        with pytest.raises(GenusMismatch):
+            act(R, zero(g + 1))
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_products_match_the_triple_loop(g):
+    # entries beyond 2^64 pin the products as exact
+    rng = random.Random(850 + g)
+    n, big = 2 * g, 2 ** 70
+    for bound in (3, big):
+        A, B = ([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+                for _ in range(2))
+        v = [rng.randint(-bound, bound) for _ in range(n)]
+        assert (IntMatrix(A) * IntMatrix(B)).rows == ref_matmul(A, B)
+        assert (IntMatrix(A) * HVector(v)).coeffs == ref_matvec(A, v)
+    # symplectic factors with entries beyond 2^64: transvections along big vectors
+    S, T = (transvection(HVector([rng.randint(-2 ** 34, 2 ** 34) for _ in range(n)]))
+            for _ in range(2))
+    assert max(abs(x) for row in S.rows for x in row) > 2 ** 64
+    ST = S * T
+    assert isinstance(ST, SymplecticMatrix) and ST.rows == ref_matmul(S.rows, T.rows)
+    assert symplectic_check(ST)
+    rows = [list(row) for row in ST.rows]
+    rows[rng.randrange(n)][rng.randrange(n)] += 1
+    assert not symplectic_check(IntMatrix(rows))
 
 
 def test_changing_a_returned_E_map_leaves_the_memo_intact():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from jmrep import (
+    HVector,
     Rho2Element,
     SymplecticMatrix,
     Wedge3,
@@ -26,6 +27,7 @@ from helpers import (
     rand_member,
     rand_symplectic,
     rand_wedge3,
+    ref_preserves_phi2_b,
 )
 
 
@@ -164,3 +166,51 @@ def test_preserves_phi2_b_matches_theorem_on_members(seed):
         R = R * transvection(v)
     f = rand_member(rng, g, R=R)
     assert handlebody_membership(f) == preserves_phi2_b(f)
+
+
+def rand_handlebody_matrix(rng, g):
+    """A block-triangular R = (S 0; P Q): b-type transvections x -> x + <x, v> v
+    with v in span(b), and block-diagonal diag(E, E^-~) with E = I + c e_ij."""
+    n = 2 * g
+    R = SymplecticMatrix.identity(g)
+    for _ in range(rng.randint(1, 6)):
+        if g > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(g), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            rows = [[int(p == q) for q in range(n)] for p in range(n)]
+            rows[i][j] = c  # E = I + c e_ij in the a-block
+            rows[g + j][g + i] = -c  # E^-~ = I - c e_ji in the b-block
+            R = R * SymplecticMatrix(rows)
+        else:
+            v = [0] * g + [rng.randint(-1, 1) for _ in range(g)]
+            if any(v):
+                R = R * transvection(HVector(v))
+    assert handlebody_sp_check(R)
+    return R
+
+
+def no_aaa(r):
+    """r without its a^a^a terms (triples with k <= g)."""
+    return Wedge3(r.genus, {t: c for t, c in r.terms() if t[2] > r.genus})
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_one_direction_phi2_b_check_matches_both_directions(g):
+    rng = random.Random(2200 + g)
+    triples = list(itertools.combinations(range(1, 2 * g + 1), 3))
+    cases = []
+    for _ in range(4):
+        Rh = rand_handlebody_matrix(rng, g)
+        cases.append(Rho2Element(rand_wedge3(rng, g), Rh))
+        member = Rho2Element(canonical_lift(Rh).r + no_aaa(rand_integral_wedge3(rng, g)), Rh)
+        cases.append(member)
+        if triples:  # one odd triple breaks the E-parity of a member
+            cases.append(Rho2Element(member.r + Wedge3(g, {rng.choice(triples): 1}), Rh))
+        R = rand_symplectic(rng, g)
+        cases.append(canonical_lift(R))
+        few = rng.sample(triples, min(2, len(triples)))  # accepted or not, by the terms drawn
+        cases.append(Rho2Element(Wedge3(g, {t: rng.choice((1, 2, -2)) for t in few}),
+                                 SymplecticMatrix.identity(g)))
+    verdicts = [preserves_phi2_b(f) for f in cases]
+    assert verdicts == [ref_preserves_phi2_b(f) for f in cases]
+    assert any(verdicts) and not all(verdicts)
