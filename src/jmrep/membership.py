@@ -17,16 +17,19 @@ upper-right g x g block of R vanishes and r has no a^a^a terms.  Dynamically,
 these are the pairs whose action on Phi_2 maps phi_2(b), the image of the
 loops that bound in the handlebody, onto itself (preserves_phi2_b).
 
-It suffices to check that f = (r, R) maps the generators (0, b_i), (a_i^b_j, 0)
-and (b_i^b_j, 0) of phi_2(b) into phi_2(b); f^-1 need not be checked:
+It suffices to check that f = (r, R) maps the g points (0, b_i) into
+phi_2(b); neither the central generators (a_i^b_j, 0), (b_i^b_j, 0) of phi_2(b)
+nor f^-1 need be checked:
 
 - The images of the (0, b_i) put each R b_i in B = span(b_1..b_g).  R maps the
   rational span of B onto itself, R^-1 is integral, and B holds every integral
-  point of its span, so R(B) = B.
-- The images of the central generators put Lambda^2 R(L) inside
-  L = {eta : (eta, 0) in phi_2(b)}, the integral lattice of B^H.  Lambda^2 R
-  maps the span of L onto itself, Lambda^2 R^-1 is integral, and L too holds
-  every integral point of its span, so Lambda^2 R(L) = L.
+  point of its span, so R(B) = B and the upper-right block of R vanishes.
+- Then R a_i and R b_j are integral and R b_j lies in B, so Lambda^2 R maps
+  a_i^b_j and b_i^b_j to integral forms in H^B: no a^a term, integral a^b and
+  b^b coefficients.  Those are in L = {eta : (eta, 0) in phi_2(b)}, so the
+  central generators map into phi_2(b) without a check.  Lambda^2 R maps the
+  span of L onto itself, Lambda^2 R^-1 is integral, and L holds every integral
+  point of its span, so Lambda^2 R(L) = L.
 - Hence f(phi_2(b)) contains the central part of phi_2(b) and elements over
   every y in B, so f(phi_2(b)) = phi_2(b).
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 import itertools
 from operator import mul
 
-from .linalg import HVector, SymplecticMatrix, basis_vector
+from .linalg import SymplecticMatrix, basis_vector
 from .phi2 import Phi2Element, phi2_b_membership
 from .rho2 import Rho2Element, act_on_phi2
 from .wedge import Wedge2, Wedge3
@@ -57,13 +60,15 @@ def _E_map(R: SymplecticMatrix) -> dict:
     g, rows = R.genus, R.rows
     # J as a signed block swap: row i of RJ is (row_i(R)[g:], -row_i(R)[:g])
     RJ = [row[g:] + tuple(-x for x in row[:g]) for row in rows]
-    # E_ijk = .(si rj - ri sj, rk) + .(ri rj, sk): both products once per pair i < j
+    # E_ijk = .(si rj - ri sj, rk) + .(ri rj, sk), one dot product of
+    # (cross || prod), formed once per pair i < j, with (r_k || s_k)
+    ext = [row + s for row, s in zip(rows, RJ)]
     E = {}
     for i, j in itertools.combinations(range(2 * g), 2):
-        cross = [s * b - a * t for a, b, s, t in zip(rows[i], rows[j], RJ[i], RJ[j])]
-        prod = list(map(mul, rows[i], rows[j]))
+        ri, rj, si, sj = rows[i], rows[j], RJ[i], RJ[j]
+        left = [s * b - a * t for a, b, s, t in zip(ri, rj, si, sj)] + list(map(mul, ri, rj))
         for k in range(j + 1, 2 * g):
-            E[(i + 1, j + 1, k + 1)] = sum(map(mul, cross, rows[k])) + sum(map(mul, prod, RJ[k]))
+            E[(i + 1, j + 1, k + 1)] = sum(map(mul, left, ext[k]))
     return E
 
 
@@ -71,7 +76,8 @@ def mcg_odd_triples(f: Rho2Element) -> list:
     """Sorted triples i < j < k whose doubled coefficient of r differs from
     E_ijk mod 2; these witness that (r, R) is not a mapping-class value."""
     E = compute_E(f.R)
-    return sorted(t for t, e in E.items() if (f.r.twice(*t) - e) % 2)
+    twice = f.r._twice
+    return sorted(t for t, e in E.items() if (twice.get(t, 0) - e) % 2)
 
 
 def mcg_membership(f: Rho2Element) -> bool:
@@ -144,28 +150,18 @@ def torelli_handlebody_basis(genus: int) -> list:
 
 
 def _b_image_generators(genus: int):
-    """Generators of phi_2(b): (0, b_i), (a_i^b_j, 0) and (b_i^b_j, 0)."""
+    """The points (0, b_i) of phi_2(b), the only generators whose images need
+    a check (see the module docstring)."""
     g = genus
     zero2 = Wedge2._of(g, {})
-    zerov = HVector._of((0,) * (2 * g))
-    gens = [Phi2Element(zero2, basis_vector(g, g + i)) for i in range(1, g + 1)]
-    gens += [
-        Phi2Element(Wedge2._of(g, {(i, g + j): 2}), zerov)
-        for i in range(1, g + 1)
-        for j in range(1, g + 1)
-    ]
-    gens += [
-        Phi2Element(Wedge2._of(g, {(g + i, g + j): 2}), zerov)
-        for i, j in itertools.combinations(range(1, g + 1), 2)
-    ]
-    return gens
+    return [Phi2Element(zero2, basis_vector(g, g + i)) for i in range(1, g + 1)]
 
 
 def preserves_phi2_b(f: Rho2Element) -> bool:
     """True iff the action of f maps phi_2(b) onto itself.
 
     The action of any pair is an automorphism of Phi_2, so it is enough to
-    check that f maps each generator of phi_2(b) into phi_2(b): the inverse
-    direction follows (see the module docstring).
+    check that f maps each point (0, b_i) into phi_2(b): the central
+    generators and the inverse direction follow (see the module docstring).
     """
     return all(phi2_b_membership(act_on_phi2(f, p)) for p in _b_image_generators(f.genus))

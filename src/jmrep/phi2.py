@@ -12,13 +12,19 @@ handlebody) is cut out by the conditions of phi2_b_membership.
 
 Coefficients of eta follow the doubled-integer convention of the wedge
 module throughout.
+
+phi2_eval_word does not scan eta's indices per letter: it adds the running
+y into one accumulator vector per generator (a C-level map over 2g
+coordinates) and reads eta off the accumulators once at the end.
 """
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .errors import GenusMismatch
 from .linalg import HVector, zero_vector
-from .wedge import Wedge2, _nonzero, half_wedge2_of
+from .wedge import Wedge2, half_wedge2_of
 from .words import FreeWord
 
 
@@ -73,25 +79,37 @@ def phi2_inv(p: Phi2Element) -> Phi2Element:
 
 
 def phi2_eval_word(w: FreeWord) -> Phi2Element:
-    """phi_2 of a word: the ordered product of (0, x_k)^(+-1) over its letters."""
+    """phi_2 of a word: the ordered product of (0, x_k)^(+-1) over its letters.
+
+    A letter sign*x_k adds (1/2) y ^ (sign x_k) to eta, with y the sum of the
+    letters before it.  In doubled units that is sign*y_p at p^k for p < k
+    and -sign*y_q at k^q for q > k, so one accumulator per generator,
+    acc[k] = the sum of sign*y over the letters of x_k, holds all of eta:
+    the doubled p^q coefficient (p < q) is acc[q][p] - acc[p][q].
+    """
     g = w.genus
     n = 2 * g
-    y = [0] * (n + 1)  # 1-based
-    eta = {}
+    y = [0] * n
+    acc = [None] * n
     for s in w.letters:
-        k = abs(s)
-        sign = 1 if s > 0 else -1
-        # eta += (1/2) y ^ (sign x_k), in doubled units
-        for p in range(1, k):
-            if y[p]:
-                key = (p, k)
-                eta[key] = eta.get(key, 0) + sign * y[p]
-        for q in range(k + 1, n + 1):
-            if y[q]:
-                key = (k, q)
-                eta[key] = eta.get(key, 0) - sign * y[q]
-        y[k] += sign
-    return Phi2Element(Wedge2._of(g, _nonzero(eta)), HVector._of(tuple(y[1:])))
+        k = abs(s) - 1
+        a = acc[k]
+        if s > 0:
+            acc[k] = list(map(add, a, y)) if a else y[:]
+            y[k] += 1
+        else:
+            acc[k] = list(map(sub, a, y)) if a else [-c for c in y]
+            y[k] -= 1
+    # acc[k][p] is nonzero only where y_p was, i.e. at generators in the word
+    live = [k for k, a in enumerate(acc) if a]
+    eta = {}
+    for x, p in enumerate(live):
+        ap = acc[p]
+        for q in live[x + 1:]:
+            c = acc[q][p] - ap[q]
+            if c:
+                eta[(p + 1, q + 1)] = c
+    return Phi2Element(Wedge2._of(g, eta), HVector._of(tuple(y)))
 
 
 def phi2_pi_membership(p: Phi2Element) -> bool:

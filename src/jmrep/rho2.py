@@ -27,6 +27,16 @@ not.  The correction by kappa - R kappa is a principal crossed
 homomorphism, and the corrected value lands in (1/2)W3(H) exactly when
 the endomorphism acts like a mapping class at this level (otherwise
 wedge3_decode raises NotInWedge3).
+
+Precomposition is linear, (R kappa)(y) = (Lambda^2 R o kappa)(R^-1 y) and
+kappa = kappa o R o R^-1, so the decoded homomorphism is computed as
+
+    m = (W - Lambda^2 R o kappa + kappa o R) o R^-1,
+
+one precomposition with one inverse.  kappa(a_i) = -kappa(b_i) =
+(1/2) a_i^b_i, so Lambda^2 R o kappa takes a_i to (1/2) R a_i ^ R b_i, the
+2x2 minors of columns i and i+g of R, and b_i to its negative; kappa o R
+takes x_n to kappa of column n of R.
 """
 
 from __future__ import annotations
@@ -36,9 +46,11 @@ from .linalg import HVector, SymplecticMatrix, _require_symplectic, basis_vector
 from .phi2 import Phi2Element, phi2_eval_word
 from .wedge import (
     HomHW2,
+    Wedge2,
     Wedge3,
+    _nonzero,
+    _pair_minors,
     kappa,
-    kappa_hom,
     sp_action_on_hom,
     wedge2_sp_action,
     wedge3_apply,
@@ -143,16 +155,28 @@ def tau2_tilde_from_endo(endo: EndomorphismSpec):
 def tau2_from_endo(endo: EndomorphismSpec) -> Rho2Element:
     """The pair (r, R) realizing the endomorphism's action on phi_2(pi).
 
-    Computes the crossed homomorphism W o R^-1, corrects by
-    kappa - R kappa, and decodes the result into (1/2)W3(H).
-    Raises NotSymplectic or NotInWedge3 when the input does not act
-    like a mapping class at this level.
+    Decodes m = (W - Lambda^2 R o kappa + kappa o R) o R^-1 (see the module
+    docstring) into (1/2)W3(H).  Raises NotSymplectic or NotInWedge3 when
+    the input does not act like a mapping class at this level.
     """
     W, R = tau2_tilde_from_endo(endo)
-    crossed = W.precompose(R.inverse())
-    kh = kappa_hom(endo.genus)
-    m = crossed + kh - sp_action_on_hom(R, kh)
-    return Rho2Element(wedge3_decode(m), R)
+    g = R.genus
+    cols = R._cols()
+    # (Lambda^2 R o kappa)(a_i) = (1/2) R a_i ^ R b_i = -(Lambda^2 R o kappa)(b_i)
+    halves = [_pair_minors(cols[i], cols[i + g], 1) for i in range(g)]
+    shifted = []
+    for n, (w, col) in enumerate(zip(W.images, cols)):
+        acc = dict(w._twice)
+        sign = -1 if n < g else 1
+        for key, t in halves[n % g].items():
+            acc[key] = acc.get(key, 0) + sign * t
+        for i in range(g):  # kappa(R x_n) has a_i^b_i coefficient (R x_n)_i - (R x_n)_(i+g)
+            t = col[i] - col[i + g]
+            if t:
+                key = (i + 1, i + g + 1)
+                acc[key] = acc.get(key, 0) + t
+        shifted.append(Wedge2._of(g, _nonzero(acc)))
+    return Rho2Element(wedge3_decode(HomHW2(shifted).precompose(R.inverse())), R)
 
 
 def principal_crossed_hom(m: HomHW2, R: SymplecticMatrix) -> HomHW2:

@@ -23,7 +23,9 @@ y_k is exactly r_ijk.  These read-off values are the doubled coefficients
 themselves, so the decode is exact with no division, and it shows the
 embedding is injective.  Re-embedding the read-off and comparing with the
 input is the membership test: a homomorphism that is not induced by any
-element of (1/2)W3(H) fails it and raises NotInWedge3.
+element of (1/2)W3(H) fails it and raises NotInWedge3.  wedge3_embed
+builds all 2g images in one pass over the terms of r: a term touches only
+the images at the symplectic partners of its three indices.
 
 R acts on W3(H) through Lambda^2 R: grouping r by
 first index, r = sum_i x_i ^ rho_i with rho_i = sum_(j<k) r_ijk x_j^x_k, and
@@ -383,11 +385,33 @@ def wedge3_apply(r: Wedge3, v: HVector) -> Wedge2:
 
 
 def wedge3_embed(r: Wedge3) -> HomHW2:
-    """The embedding of (1/2)W3(H) into Hom(H, (1/2)W2(H))."""
+    """The embedding of (1/2)W3(H) into Hom(H, (1/2)W2(H)), in one pass over r.
+
+    <x_n, x_m> is nonzero only at the symplectic partner n = m* of m
+    (m* = m + g with value -1 for m <= g, m* = m - g with value +1 otherwise),
+    so a term t x_i^x_j^x_k adds <k*, k> t x_i^x_j to the image of x_k*,
+    <i*, i> t x_j^x_k to that of x_i* and -<j*, j> t x_i^x_k to that of x_j*.
+    Within one image these keys come from distinct terms (the partner index
+    lies after, before or between the pair), so every key is set once and
+    every value is nonzero.
+    """
     g = r.genus
-    return HomHW2(
-        tuple(wedge3_apply(r, basis_vector(g, n)) for n in range(1, 2 * g + 1))
-    )
+    images = [{} for _ in range(2 * g)]
+    for (i, j, k), t in r._twice.items():
+        # 0-based partner index of each of i, j, k, and its sign
+        if k > g:
+            images[k - g - 1][(i, j)] = t
+        else:
+            images[k + g - 1][(i, j)] = -t
+        if i > g:
+            images[i - g - 1][(j, k)] = t
+        else:
+            images[i + g - 1][(j, k)] = -t
+        if j > g:
+            images[j - g - 1][(i, k)] = -t
+        else:
+            images[j + g - 1][(i, k)] = t
+    return HomHW2(tuple(Wedge2._of(g, d) for d in images))
 
 
 def _lambda2(cols, terms):

@@ -10,6 +10,13 @@ The public FreeWord constructor checks every letter.  Closed operations
 build their results through the unchecked FreeWord._of: their letters come
 from words already checked, so the letters tuple stays within +-2g.
 
+endo_apply pushes each letter's image as a block onto a freely reduced
+stack: the freely reduced image cancels against the stack top only at the
+junction, so the stack after each letter is the reduced form of the prefix
+substituted so far.  Free reduction is unique, so these partial stacks, and
+the letter at which a max_letters budget trips, are those of pushing the raw
+images letter by letter.
+
 The distinguished boundary word is the product of commutators
 [alpha_1, beta_1] ... [alpha_g, beta_g]; an endomorphism spec that fixes
 it exactly (up to free reduction) is the action of a mapping class.
@@ -17,6 +24,7 @@ it exactly (up to free reduction) is the action of a mapping class.
 
 from __future__ import annotations
 
+from operator import add, neg
 from typing import Iterable
 
 from .errors import GenusMismatch, WordLengthExceeded
@@ -112,20 +120,20 @@ class FreeWord:
         return f"FreeWord(g={self.genus}: {body})"
 
 
-def _push(stack: list, letters) -> None:
-    """Push letters onto a freely reduced stack, cancelling inverse pairs as they meet."""
+def _reduced(letters) -> tuple:
+    """The letters freely reduced: inverse pairs cancel as they meet on a stack."""
+    stack = []
     for s in letters:
         if stack and stack[-1] == -s:
             stack.pop()
         else:
             stack.append(s)
+    return tuple(stack)
 
 
 def word_reduce(w: FreeWord) -> FreeWord:
     """Free reduction: cancel adjacent inverse pairs until none remain."""
-    stack = []
-    _push(stack, w.letters)
-    return FreeWord._of(w.genus, tuple(stack))
+    return FreeWord._of(w.genus, _reduced(w.letters))
 
 
 class EndomorphismSpec:
@@ -186,18 +194,40 @@ class EndomorphismSpec:
         return f"EndomorphismSpec(g={self.genus}: {body})"
 
 
-def endo_apply(e: EndomorphismSpec, w: FreeWord, max_letters: int | None = None) -> FreeWord:
+def endo_apply(e: EndomorphismSpec, w: FreeWord, max_letters: int | None = None,
+               *, _table: list | None = None) -> FreeWord:
     """Apply the substitution to a word and freely reduce the result.
 
-    Cancellation happens on the fly; if the partial result ever exceeds
-    max_letters the function raises WordLengthExceeded.
+    Each letter's reduced image is pushed as one block (see the module
+    docstring); if the stack ever exceeds max_letters the function raises
+    WordLengthExceeded.
+
+    _table[s] is the reduced image of the signed letter s, or None until s
+    first occurs; a list of 4g + 1 slots serves s and -s through Python's
+    negative indices.  endo_compose shares one table across its
+    substitutions.
     """
     if e.genus != w.genus:
         raise GenusMismatch(f"genus {e.genus} vs {w.genus}")
+    table = [None] * (4 * e.genus + 1) if _table is None else _table
     stack = []
     for s in w.letters:
-        img = e.images[abs(s) - 1].letters
-        _push(stack, img if s > 0 else tuple(-t for t in reversed(img)))
+        img = table[s]
+        if img is None:
+            img = e.images[abs(s) - 1].letters
+            if not all(map(add, img, img[1:])):  # some adjacent pair cancels
+                img = _reduced(img)
+            if s < 0:
+                img = tuple(map(neg, reversed(img)))
+            table[s] = img
+        if stack and img and stack[-1] == -img[0]:
+            c, m = 1, min(len(stack), len(img))
+            while c < m and stack[-1 - c] == -img[c]:
+                c += 1
+            del stack[-c:]
+            stack.extend(img[c:])
+        else:
+            stack.extend(img)
         if max_letters is not None and len(stack) > max_letters:
             raise WordLengthExceeded(
                 f"substitution exceeded {max_letters} letters"
@@ -210,13 +240,15 @@ def endo_compose(e1: EndomorphismSpec, e2: EndomorphismSpec,
     """The composite 'apply e2 first, then e1'.
 
     Its images are endo_apply(e1, e2.images[n]), matching the convention
-    that matrices act on column vectors on the left.
+    that matrices act on column vectors on the left.  The 2g substitutions
+    share one table of e1's reduced signed images.
     """
     if e1.genus != e2.genus:
         raise GenusMismatch(f"genus {e1.genus} vs {e2.genus}")
+    table = [None] * (4 * e1.genus + 1)
     return EndomorphismSpec(
         e1.genus,
-        tuple(endo_apply(e1, w, max_letters=max_letters) for w in e2.images),
+        tuple(endo_apply(e1, w, max_letters=max_letters, _table=table) for w in e2.images),
     )
 
 

@@ -10,6 +10,7 @@ from typing import NamedTuple
 from jmrep import (
     EndomorphismSpec,
     FreeWord,
+    HomHW2,
     HVector,
     IntMatrix,
     Phi2Element,
@@ -30,6 +31,7 @@ from jmrep import (
     rho2_inv,
     transvection,
     wedge3_apply,
+    word_reduce,
 )
 
 WORD_GUARD = 10_000
@@ -119,8 +121,55 @@ def rand_phi2(rng, g, bound=3):
 
 # ---------------------------------------------------------------- reference oracles
 # Direct transcriptions of the definitions, kept as the reference that the
-# structure-aware kernels in jmrep.wedge, jmrep.linalg and jmrep.membership are
-# compared against.
+# structure-aware kernels in jmrep.wedge, jmrep.linalg, jmrep.membership,
+# jmrep.words and jmrep.phi2 are compared against.
+
+
+def ref_wedge3_embed(r):
+    """The embedding evaluated at each basis vector in turn."""
+    g = r.genus
+    return HomHW2(tuple(wedge3_apply(r, basis_vector(g, n)) for n in range(1, 2 * g + 1)))
+
+
+def ref_phi2_eval_word(w):
+    """The ordered product of (0, x_k)^(+-1), one letter at a time: each letter
+    adds (1/2) y ^ (sign x_k) to eta, scanning every index of y."""
+    g = w.genus
+    n = 2 * g
+    y = [0] * (n + 1)  # 1-based
+    eta = {}
+    for s in w.letters:
+        k, sign = abs(s), (1 if s > 0 else -1)
+        for p in range(1, n + 1):
+            if p < k:
+                eta[(p, k)] = eta.get((p, k), 0) + sign * y[p]
+            elif p > k:
+                eta[(k, p)] = eta.get((k, p), 0) - sign * y[p]
+        y[k] += sign
+    return Phi2Element(Wedge2(g, eta), HVector(y[1:]))
+
+
+def ref_endo_apply(e, w, max_letters=None):
+    """Each letter's raw image (inverted for an inverse letter) pushed one letter
+    at a time onto a stack that cancels inverse pairs as they meet; with
+    max_letters, raises WordLengthExceeded at the first letter after which the
+    stack is longer.  The stack is checked against word_reduce of the plain
+    concatenation."""
+    raw, stack = [], []
+    for s in w.letters:
+        img = e.images[abs(s) - 1]
+        img = (img if s > 0 else img.inverse()).letters
+        raw += img
+        for t in img:
+            if stack and stack[-1] == -t:
+                stack.pop()
+            else:
+                stack.append(t)
+        if max_letters is not None and len(stack) > max_letters:
+            raise WordLengthExceeded(f"substitution exceeded {max_letters} letters")
+    out = FreeWord(w.genus, stack)
+    assert out == word_reduce(FreeWord(w.genus, raw))
+    return out
 
 
 def _det3(a, b, c, p, q, r):

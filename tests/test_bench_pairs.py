@@ -39,8 +39,8 @@ def test_wins_quartiles_and_spread():
 
 
 def test_workload_record_sums_the_runs():
-    def run(value, failed):
-        return {"failed": failed, "attempted": 200,
+    def run(value, failed, attempted=200):
+        return {"failed": failed, "attempted": attempted,
                 "metrics": {"ops_per_s": {"value": value, "unit": "1/s"}}}
 
     spec = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
@@ -50,3 +50,19 @@ def test_workload_record_sums_the_runs():
     assert record["failed"] == {"parent": 2, "change": 1}
     assert record["attempted"] == {"parent": 400, "change": 400}
     assert record["metrics"]["ops_per_s"]["change_wins"] == 2
+
+
+def test_workload_record_keeps_each_runs_attempted_count():
+    def run(attempted):
+        return {"failed": 0, "attempted": attempted,
+                "metrics": {"peak_rss_mb": {"value": 20.0, "unit": "MB"}}}
+
+    spec = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}]
+    runs = [(1, run(2955), run(4125)), (2, run(3010), run(4190)), (3, run(2890), run(4001))]
+    record = bench_pairs.workload_record(runs, spec)
+    assert record["attempted_runs"] == {"parent": [2955, 3010, 2890],
+                                        "change": [4125, 4190, 4001]}
+    assert record["attempted"] == {"parent": 8855, "change": 12316}
+    # one run is recorded as soon as its pair completes
+    assert bench_pairs.workload_record(runs[:1], spec)["attempted_runs"] == {
+        "parent": [2955], "change": [4125]}

@@ -14,6 +14,11 @@ even and the change first when k is odd.  Each run starts with no bytecode:
 the checkout's __pycache__ directories are removed and the run is made with
 PYTHONDONTWRITEBYTECODE=1, so neither side reads bytecode the other did not.
 
+Each workload records the operations every run attempted, per side and in
+pair order (attempted_runs), next to their sums.  A side that completes more
+operations in the same T reads a higher peak_rss_mb, since ru_maxrss only
+rises as a run goes on; compare that metric with the counts in view.
+
 For every end-to-end metric of the change's BENCHMARK.json the output holds
 each side's runs, median and quartiles (statistics.quantiles, inclusive),
 the relative change of the medians, how many pairs the change won (ties count
@@ -120,6 +125,8 @@ def workload_record(runs, metrics_spec) -> dict:
                    for i, side in ((1, "parent"), (2, "change"))},
         "attempted": {side: sum(r[i]["attempted"] for r in runs)
                       for i, side in ((1, "parent"), (2, "change"))},
+        "attempted_runs": {side: [r[i]["attempted"] for r in runs]
+                           for i, side in ((1, "parent"), (2, "change"))},
         "metrics": {},
     }
     if len(runs) < 2:
@@ -187,7 +194,8 @@ def main(argv=None) -> int:
                 got[side] = run_bench(checkouts[side], workload, seed, seconds, 0)
                 ops = got[side]["metrics"]["ops_per_s"]["value"]
                 print(f"{workload} seed {seed} {side}: ops_per_s {ops:.2f}, "
-                      f"failed {got[side]['failed']}", file=sys.stderr, flush=True)
+                      f"attempted {got[side]['attempted']}, failed {got[side]['failed']}",
+                      file=sys.stderr, flush=True)
             runs.append((seed, got["parent"], got["change"]))
             out["workloads"][workload] = workload_record(runs, metrics_spec)
             save()
