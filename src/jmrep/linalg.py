@@ -21,10 +21,10 @@ symplectic check compares (M J M~)_ab = sum_k (M_a,k+g M_b,k - M_a,k M_b,k+g)
 with J_ab for a < b, and the inverse of M = (S T; P Q) in g x g blocks is
 (Q~ -T~; -P~ S~).
 
-Rows are never reassigned after construction, so what depends on a matrix
-alone is computed once and kept in its private _memo: the columns and, for a
-SymplecticMatrix, the E map of membership.compute_E.  The memo takes no part
-in equality, hashing or repr.
+Rows are never reassigned after construction, so the E map of
+membership.compute_E, which depends on a SymplecticMatrix alone, is computed
+once and kept in the matrix's private _memo.  The memo takes no part in
+equality, hashing or repr.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ class IntMatrix:
             return value
 
     def _cols(self) -> tuple:
-        """The columns as a tuple of 2g int tuples, i.e. zip(*rows)."""
-        return self._derived("cols", lambda m: tuple(zip(*m.rows)))
+        """The columns as a tuple of 2g int tuples."""
+        return tuple(zip(*self.rows))
 
     @property
     def dim(self) -> int:
@@ -270,8 +270,9 @@ def symplectic_check(M: IntMatrix) -> bool:
 
 def _require_symplectic(M: IntMatrix) -> None:
     """Raise NotSymplectic naming the first pair where M J M~ and J differ."""
-    if not symplectic_check(M):
-        a, b, got, want = _symplectic_defect(M)
+    defect = _symplectic_defect(M)
+    if defect is not None:
+        a, b, got, want = defect
         raise NotSymplectic(
             f"matrix fails M J M~ = J: entry ({a}, {b}) of M J M~ is {got}, "
             f"of J is {want}"
@@ -302,23 +303,23 @@ def symplectic_inverse(M: SymplecticMatrix) -> SymplecticMatrix:
     return SymplecticMatrix._of(tuple(top + bottom))
 
 
+def _vJ(v: tuple) -> tuple:
+    """The row v~J of a coordinate tuple v = (v_a, v_b): it is (v_b, -v_a)."""
+    g = len(v) // 2
+    return v[g:] + tuple(-x for x in v[:g])
+
+
 def pairing(u: HVector, v: HVector) -> int:
     """Intersection pairing <u, v> = v~ J u; <a_i, b_i> = +1."""
     if u.genus != v.genus:
         raise GenusMismatch(f"genus {u.genus} vs {v.genus}")
-    g = u.genus
-    uc, vc = u.coeffs, v.coeffs
-    return sum(uc[i] * vc[i + g] - uc[i + g] * vc[i] for i in range(g))
+    return sum(map(mul, _vJ(v.coeffs), u.coeffs))
 
 
 def transvection(v: HVector) -> SymplecticMatrix:
     """The symplectic transvection x -> x + <x, v> v along v."""
     n = 2 * v.genus
-    g = v.genus
-    # row vector v~J: (v~J)_j = sum_k v_k J_kj; J has -I upper right, I lower left
-    vJ = tuple(
-        v.coeffs[j + g] if j < g else -v.coeffs[j - g] for j in range(n)
-    )
+    vJ = _vJ(v.coeffs)
     rows = tuple(
         tuple((1 if i == j else 0) + v.coeffs[i] * vJ[j] for j in range(n))
         for i in range(n)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from operator import mul
 
-from .linalg import SymplecticMatrix, basis_vector
+from .linalg import SymplecticMatrix, _vJ, basis_vector
 from .phi2 import Phi2Element, phi2_b_membership
 from .rho2 import Rho2Element, act_on_phi2
 from .wedge import Wedge2, Wedge3
@@ -58,8 +58,7 @@ def compute_E(R: SymplecticMatrix) -> dict:
 
 def _E_map(R: SymplecticMatrix) -> dict:
     g, rows = R.genus, R.rows
-    # J as a signed block swap: row i of RJ is (row_i(R)[g:], -row_i(R)[:g])
-    RJ = [row[g:] + tuple(-x for x in row[:g]) for row in rows]
+    RJ = [_vJ(row) for row in rows]
     # E_ijk = .(si rj - ri sj, rk) + .(ri rj, sk), one dot product of
     # (cross || prod), formed once per pair i < j, with (r_k || s_k)
     ext = [row + s for row, s in zip(rows, RJ)]

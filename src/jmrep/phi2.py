@@ -132,23 +132,15 @@ def phi2_b_membership(p: Phi2Element) -> bool:
 
     Writing y = sum l_i b_i, the conditions are: y has no a-part, eta has no
     a^a terms, the a^b coefficients of eta are integers, and the doubled
-    b^b coefficients are congruent to l_i * l_j mod 2.
+    b^b coefficients are congruent to l_i * l_j mod 2.  With no a-part in y
+    the last two say exactly that p passes phi2_pi_membership.
     """
     g = p.genus
-    if any(p.y.coeffs[:g]):
-        return False
-    for (i, j), t in p.eta.terms():
-        if j <= g:
-            return False  # a^a term
-        if i <= g:
-            if t % 2:
-                return False  # a^b coefficient must be integral
-    l = p.y.coeffs
-    for i in range(g + 1, 2 * g + 1):
-        for j in range(i + 1, 2 * g + 1):
-            if (p.eta.twice(i, j) - l[i - 1] * l[j - 1]) % 2:
-                return False
-    return True
+    return (
+        not any(p.y.coeffs[:g])
+        and all(j > g for _, j in p.eta._twice)
+        and phi2_pi_membership(p)
+    )
 
 
 def phi2_word_synthesis(p: Phi2Element) -> FreeWord:

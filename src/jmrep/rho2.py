@@ -121,14 +121,11 @@ def act_on_phi2(f: Rho2Element, p: Phi2Element) -> Phi2Element:
     (r, R) * (eta, y) = (R eta - kappa(Ry) + R kappa(y) + r(Ry), Ry),
 
     computed as (R(eta + kappa(y)) - kappa(Ry) + r(Ry), Ry): R acts linearly
-    on W2(H), so one Lambda^2 action serves both terms.  At a central point
-    (eta, 0) the kappa and r terms vanish, leaving (R eta, 0).
+    on W2(H), so one Lambda^2 action serves both terms.
     """
     if f.genus != p.genus:
         raise GenusMismatch(f"genus {f.genus} vs {p.genus}")
     R = f.R
-    if p.y.is_zero():
-        return Phi2Element(wedge2_sp_action(R, p.eta), p.y)
     Ry = R * p.y
     eta = wedge2_sp_action(R, p.eta + kappa(p.y)) - kappa(Ry) + wedge3_apply(f.r, Ry)
     return Phi2Element(eta, Ry)
@@ -163,7 +160,7 @@ def tau2_from_endo(endo: EndomorphismSpec) -> Rho2Element:
     g = R.genus
     cols = R._cols()
     # (Lambda^2 R o kappa)(a_i) = (1/2) R a_i ^ R b_i = -(Lambda^2 R o kappa)(b_i)
-    halves = [_pair_minors(cols[i], cols[i + g], 1) for i in range(g)]
+    halves = [_pair_minors(cols[i], cols[i + g]) for i in range(g)]
     shifted = []
     for n, (w, col) in enumerate(zip(W.images, cols)):
         acc = dict(w._twice)

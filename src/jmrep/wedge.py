@@ -30,10 +30,8 @@ the images at the symplectic partners of its three indices.
 R acts on W3(H) through Lambda^2 R: grouping r by
 first index, r = sum_i x_i ^ rho_i with rho_i = sum_(j<k) r_ijk x_j^x_k, and
 R r = sum_i R x_i ^ (Lambda^2 R)(rho_i), where (Lambda^2 R)(rho_i) =
-sum_j R x_j ^ R(sum_k r_ijk x_k) is accumulated in a dense array.  On W2(H)
-that path serves forms of two or more terms, and t x_j^x_k maps to
-t (R x_j ^ R x_k) by 2x2 minors of the columns that R memoizes (see linalg).
-Both actions map zero to zero without touching R.
+sum_j R x_j ^ R(sum_k r_ijk x_k) is accumulated in a dense array.  R acts
+on W2(H) by that same Lambda^2 R.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from .linalg import (
     HVector,
     IntMatrix,
     SymplecticMatrix,
+    _vJ,
     basis_label,
     basis_vector,
 )
@@ -212,12 +211,12 @@ def half_wedge2_of(u: HVector, v: HVector) -> Wedge2:
     """(1/2) u ^ v, the correction term of the two-step nilpotent product."""
     if u.genus != v.genus:
         raise GenusMismatch(f"genus {u.genus} vs {v.genus}")
-    return Wedge2._of(u.genus, _pair_minors(u.coeffs, v.coeffs, 1))
+    return Wedge2._of(u.genus, _pair_minors(u.coeffs, v.coeffs))
 
 
-def _pair_minors(u, v, t) -> dict:
-    """t times the nonzero 2x2 minors u_p v_q - u_q v_p (p < q) of two coordinate
-    tuples, keyed by 1-based pairs: the doubled coefficients of (t/2) u ^ v."""
+def _pair_minors(u, v) -> dict:
+    """The nonzero 2x2 minors u_p v_q - u_q v_p (p < q) of two coordinate
+    tuples, keyed by 1-based pairs: the doubled coefficients of (1/2) u ^ v."""
     live = [p for p, (up, vp) in enumerate(zip(u, v)) if up or vp]
     out = {}
     for x, p in enumerate(live):
@@ -225,7 +224,7 @@ def _pair_minors(u, v, t) -> dict:
         for q in live[x + 1:]:
             c = up * v[q] - u[q] * vp
             if c:
-                out[(p + 1, q + 1)] = t * c
+                out[(p + 1, q + 1)] = c
     return out
 
 
@@ -353,34 +352,26 @@ def kappa_hom(genus: int) -> HomHW2:
     return HomHW2(tuple(kappa(basis_vector(genus, i)) for i in range(1, 2 * genus + 1)))
 
 
-def _j_contract(v: HVector):
-    """Tuple t with t[k-1] = <v, x_k> = (Jv)_k for k = 1..2g."""
-    g = v.genus
-    return tuple(-v.coeffs[k + g] for k in range(g)) + tuple(
-        v.coeffs[k] for k in range(g)
-    )
-
-
 def wedge3_apply(r: Wedge3, v: HVector) -> Wedge2:
     """Evaluate the homomorphism induced by r in W3(H) at the vector v."""
     if r.genus != v.genus:
         raise GenusMismatch(f"genus {r.genus} vs {v.genus}")
-    jv = _j_contract(v)
+    vJ = _vJ(v.coeffs)  # <v, x_k> = -(v~J)_k
     out = {}
     for (i, j, k), t in r._twice.items():
-        ck = jv[k - 1]
+        ck = vJ[k - 1]
         if ck:
             key = (i, j)
-            out[key] = out.get(key, 0) + t * ck
-        ci = jv[i - 1]
+            out[key] = out.get(key, 0) - t * ck
+        ci = vJ[i - 1]
         if ci:
             key = (j, k)
-            out[key] = out.get(key, 0) + t * ci
-        cj = jv[j - 1]
+            out[key] = out.get(key, 0) - t * ci
+        cj = vJ[j - 1]
         if cj:
             # x_k ^ x_i = -(x_i ^ x_k)
             key = (i, k)
-            out[key] = out.get(key, 0) - t * cj
+            out[key] = out.get(key, 0) + t * cj
     return Wedge2._of(r.genus, _nonzero(out))
 
 
@@ -455,14 +446,7 @@ def wedge2_sp_action(R: IntMatrix, w: Wedge2) -> Wedge2:
     """R acting on W2(H): x_i ^ x_j -> (R x_i) ^ (R x_j), extended linearly."""
     if R.genus != w.genus:
         raise GenusMismatch(f"genus {R.genus} vs {w.genus}")
-    twice = w._twice
-    if not twice:
-        return w
-    cols = R._cols()
-    if len(twice) == 1:  # t x_j^x_k -> t Rx_j^Rx_k
-        ((j, k), t), = twice.items()
-        return Wedge2._of(w.genus, _pair_minors(cols[j - 1], cols[k - 1], t))
-    A = _lambda2(cols, twice.items())
+    A = _lambda2(R._cols(), w._twice.items())
     return Wedge2._of(
         w.genus,
         {(p + 1, q + 1): a for p, row in enumerate(A) for q, a in enumerate(row) if a},
@@ -477,8 +461,6 @@ def wedge3_sp_action(R: IntMatrix, r: Wedge3) -> Wedge3:
     """
     if R.genus != r.genus:
         raise GenusMismatch(f"genus {R.genus} vs {r.genus}")
-    if not r._twice:
-        return r
     cols = R._cols()
     rho = {}
     for (i, j, k), t in r._twice.items():

@@ -6,13 +6,10 @@ symplectic_inverse apply J as a signed block swap; the oracles multiply by J
 or check the g x g block identities.  compute_E is compared with its defining
 triple-product formula.
 
-wedge2_sp_action acts on the zero form and on one-term forms without
-Lambda^2 R, wedge3_sp_action returns the zero form at once, act_on_phi2
-skips the vanishing terms at a central point (eta, 0) and elsewhere applies
-Lambda^2 R once, to eta + kappa(y), and compute_E keeps its map on the
-matrix; the tests below compare each shortcut with the full computation.
-The matrix products are compared with the triple loop on entries beyond
-2^64.
+act_on_phi2 applies Lambda^2 R once, to eta + kappa(y), and compute_E keeps
+its map on the matrix; the tests below compare both with the full
+computation.  The matrix products are compared with the triple loop on
+entries beyond 2^64.
 """
 
 import itertools
@@ -91,8 +88,7 @@ def test_kernels_match_the_minor_expansion(g):
     one_term = [Wedge2(g, {p: t}) for p in itertools.combinations(range(1, 2 * g + 1), 2)
                 for t in (1, -2)]
     for R, w, r in cases:
-        # the dense form, then zero, every one-term form and a two-term form,
-        # which wedge2_sp_action handles without Lambda^2 R
+        # the dense form, then zero, every one-term form and a two-term form
         for form in (w, Wedge2.zero(g), *one_term, sparse_wedge(rng, g, 2)):
             assert wedge2_sp_action(R, form) == ref_wedge2_sp_action(R, form)
         assert wedge3_sp_action(R, r) == ref_wedge3_sp_action(R, r)

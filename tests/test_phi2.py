@@ -17,7 +17,7 @@ from jmrep import (
     word_reduce,
     zero_vector,
 )
-from helpers import rand_phi2, rand_pi_point, rand_word
+from helpers import rand_phi2, rand_pi_point, rand_word, ref_phi2_b_membership
 
 
 def _vec(g, coeffs):
@@ -132,6 +132,34 @@ def test_b_membership_implies_pi_membership():
             hits += 1
             assert phi2_pi_membership(p)
     assert hits > 0
+
+
+def _b_candidate(rng, g):
+    """A point near phi_2(b): y has no a-part half the time, eta has the parities
+    of phi2_pi_membership, its a^a terms are dropped 70% of the time, and one
+    coefficient's parity is flipped 20% of the time."""
+    n = 2 * g
+    l = [rng.randint(-2, 2) if i >= g or rng.random() < 0.5 else 0 for i in range(n)]
+    drop_aa = rng.random() < 0.7
+    eta = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if not (drop_aa and j <= g):
+                eta[(i, j)] = l[i - 1] * l[j - 1] + 2 * rng.randint(-1, 1)
+    if rng.random() < 0.2:
+        eta[rng.choice(sorted(eta))] += 1  # eta always holds the a_1^b_1 pair
+    return Phi2Element(Wedge2(g, eta), _vec(g, l))
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_b_membership_matches_the_condition_by_condition_oracle(g):
+    rng = random.Random(1200 + g)
+    verdicts = []
+    for _ in range(400):
+        p = _b_candidate(rng, g)
+        verdicts.append(phi2_b_membership(p))
+        assert verdicts[-1] == ref_phi2_b_membership(p), p
+    assert any(verdicts) and not all(verdicts)
 
 
 @pytest.mark.parametrize("seed", range(10))
