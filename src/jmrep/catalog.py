@@ -23,7 +23,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .errors import NotInWedge3, NotSymplectic
-from .jsonio import _genus_of, _int_list, _require
+from .jsonio import _genus_of, _require
 from .linalg import SymplecticMatrix, _require_symplectic
 from .membership import handlebody_membership, handlebody_sp_check
 from .rho2 import tau2_from_endo
@@ -101,9 +101,9 @@ def entry_from_dict(doc) -> CatalogEntry:
     specs = []
     for key in ("images", "inverse_images"):
         images = doc[key]
-        _require(isinstance(images, list), f"'{key}' must be an array")
-        lists = [_int_list(w, f"each of '{key}'") for w in images]
-        specs.append(EndomorphismSpec.from_letter_lists(genus, lists))
+        _require(isinstance(images, list) and all(isinstance(w, list) for w in images),
+                 f"'{key}' must be an array of letter arrays")
+        specs.append(EndomorphismSpec.from_letter_lists(genus, images))  # checks each letter
     claimed = doc["claimed_handlebody"]
     _require(isinstance(claimed, bool), "claimed_handlebody must be a boolean")
     return CatalogEntry(name, specs[0], specs[1], claimed)

@@ -8,6 +8,13 @@ canonical JSON line to stdout, and exits with:
     2   malformed input or internal error (diagnostic on stderr)
 
 Genus is always inferred from the input documents, never from a flag.
+
+The verbs are the rows of one table, VERBS: verb -> (help text, input
+fields, handler).  build_parser makes each subparser from its row, with one
+positional argument per field, and main loads those fields' documents in
+order, passes them to the handler, and writes the output document it returns
+with its exit code.  main is the only place that reads input, writes output
+or maps an error to exit 2.
 """
 
 from __future__ import annotations
@@ -36,9 +43,9 @@ from .membership import (
     mcg_odd_triples,
     torelli_handlebody_basis,
 )
-from .phi2 import phi2_b_membership, phi2_inv, phi2_mul, phi2_pi_membership
+from .phi2 import phi2_b_membership, phi2_inv, phi2_pi_membership
 from .phi2 import phi2_eval_word
-from .rho2 import act_on_phi2, rho2_inv, rho2_mul, tau2_from_endo
+from .rho2 import Rho2Element, act_on_phi2, rho2_inv, tau2_from_endo
 
 
 def _load(paths) -> list:
@@ -60,126 +67,113 @@ def _load(paths) -> list:
     return docs
 
 
-def _emit(doc) -> None:
-    sys.stdout.write(canonical_dumps(doc) + "\n")
-
-
 def _group_element(doc):
     if isinstance(doc, dict) and "r" in doc and "R" in doc:
-        return "rho2", decode_rho2(doc)
+        return decode_rho2(doc)
     if isinstance(doc, dict) and "eta" in doc and "y" in doc:
-        return "phi2", decode_phi2(doc)
+        return decode_phi2(doc)
     raise ValueError("expected {'r','R'} or {'eta','y'}")
 
 
+def _encode(x) -> dict:
+    return encode_rho2(x) if isinstance(x, Rho2Element) else encode_phi2(x)
+
+
 # ---------------------------------------------------------------- verbs
+# Each handler takes its verb's documents and returns (output document, exit code).
 
-def _cmd_check_mcg(args) -> int:
-    odd = mcg_odd_triples(decode_rho2(_load([args.element])[0]))
-    member = not odd
-    _emit({"member": member, "E_odd_triples": [list(t) for t in odd]})
-    return 0 if member else 1
+def _verdict(doc: dict, ok: bool):
+    return doc, 0 if ok else 1
 
 
-def _cmd_check_handlebody(args) -> int:
-    f = decode_rho2(_load([args.element])[0])
-    failed = handlebody_failures(f)
-    _emit({"member": not failed, "failed": list(failed)})
-    return 0 if not failed else 1
+def _member(ok: bool):
+    return _verdict({"member": ok}, ok)
 
 
-def _cmd_lift(args) -> int:
-    R = decode_symplectic(_load([args.matrix])[0])
-    _emit(encode_rho2(canonical_lift(R)))
-    return 0
+def _check_mcg(f):
+    odd = mcg_odd_triples(decode_rho2(f))
+    return _verdict({"member": not odd, "E_odd_triples": [list(t) for t in odd]}, not odd)
 
 
-def _cmd_rho2(args) -> int:
-    e = decode_endo(_load([args.endo])[0])
-    _emit(encode_rho2(tau2_from_endo(e)))
-    return 0
+def _check_handlebody(f):
+    failed = handlebody_failures(decode_rho2(f))
+    return _verdict({"member": not failed, "failed": list(failed)}, not failed)
 
 
-def _cmd_act(args) -> int:
-    f_doc, p_doc = _load([args.element, args.point])
-    f = decode_rho2(f_doc)
-    p = decode_phi2(p_doc)
-    _emit(encode_phi2(act_on_phi2(f, p)))
-    return 0
-
-
-def _cmd_eval_word(args) -> int:
-    w = decode_word(_load([args.word])[0])
-    _emit(encode_phi2(phi2_eval_word(w)))
-    return 0
-
-
-def _cmd_phi2_member(args) -> int:
-    p = decode_phi2(_load([args.point])[0])
-    member = phi2_pi_membership(p)
-    _emit({"member": member})
-    return 0 if member else 1
-
-
-def _cmd_b_member(args) -> int:
-    p = decode_phi2(_load([args.point])[0])
-    member = phi2_b_membership(p)
-    _emit({"member": member})
-    return 0 if member else 1
-
-
-def _cmd_mul(args) -> int:
-    x_doc, y_doc = _load([args.left, args.right])
-    kx, x = _group_element(x_doc)
-    ky, y = _group_element(y_doc)
-    if kx != ky:
+def _mul(x, y):
+    x, y = _group_element(x), _group_element(y)
+    if type(x) is not type(y):
         raise ValueError("cannot multiply elements of different groups")
-    if kx == "rho2":
-        _emit(encode_rho2(rho2_mul(x, y)))
-    else:
-        _emit(encode_phi2(phi2_mul(x, y)))
-    return 0
+    return _encode(x * y), 0
 
 
-def _cmd_inv(args) -> int:
-    kind, x = _group_element(_load([args.element])[0])
-    if kind == "rho2":
-        _emit(encode_rho2(rho2_inv(x)))
-    else:
-        _emit(encode_phi2(phi2_inv(x)))
-    return 0
+def _inv(x):
+    x = _group_element(x)
+    return _encode(rho2_inv(x) if isinstance(x, Rho2Element) else phi2_inv(x)), 0
 
 
-def _cmd_compute_E(args) -> int:
-    R = decode_symplectic(_load([args.matrix])[0])
+def _compute_E(m):
+    R = decode_symplectic(m)
     E = compute_E(R)
-    nonzero = [{"idx": list(t), "value": v} for t, v in sorted(E.items()) if v != 0]
-    _emit({"genus": R.genus, "E": nonzero})
-    return 0
+    return {"genus": R.genus,
+            "E": [{"idx": list(t), "value": v} for t, v in sorted(E.items()) if v != 0]}, 0
 
 
-def _cmd_validate_entry(args) -> int:
-    entry = entry_from_dict(_load([args.entry])[0])
+def _validate_entry(doc):
+    entry = entry_from_dict(doc)
     report = validate_entry(entry)
-    _emit({"name": entry.name, "passed": report.passed,
-           "failures": list(report.failures)})
-    return 0 if report.passed else 1
+    return _verdict({"name": entry.name, "passed": report.passed,
+                     "failures": list(report.failures)}, report.passed)
 
 
-def _cmd_basis(args) -> int:
-    g = _genus_of(_load([args.genus])[0])
-    basis = torelli_handlebody_basis(g)
-    _emit({"genus": g, "basis": [encode_rho2(f) for f in basis]})
-    return 0
+def _basis(doc):
+    g = _genus_of(doc)
+    return {"genus": g, "basis": [encode_rho2(f) for f in torelli_handlebody_basis(g)]}, 0
 
 
-def _cmd_catalog_list(args) -> int:
-    g = _genus_of(_load([args.genus])[0])
-    entries = catalog(g)
-    _emit({"genus": g, "entries": [
+def _catalog_list(doc):
+    g = _genus_of(doc)
+    return {"genus": g, "entries": [
         {"name": c.name, "claimed_handlebody": c.claimed_handlebody}
-        for c in entries]})
-    return 0
+        for c in catalog(g)]}, 0
+
+
+_ELEMENT = ("element", "semidirect-product element {r, R}")
+_POINT = ("point", "quotient element {eta, y}")
+_MATRIX = ("matrix", "symplectic matrix {genus, rows}")
+_GENUS = ("genus", 'object with a "genus" field')
+
+VERBS = {
+    "check-mcg": ("is (r, R) in the image of the mapping class group",
+                  (_ELEMENT,), _check_mcg),
+    "check-handlebody": ("is (r, R) in the image of the handlebody subgroup",
+                         (_ELEMENT,), _check_handlebody),
+    "lift": ("canonical mapping-class image over a symplectic matrix",
+             (_MATRIX,), lambda m: (encode_rho2(canonical_lift(decode_symplectic(m))), 0)),
+    "rho2": ("level-two representation of a free-group endomorphism",
+             (("endo", "endomorphism {genus, images}"),),
+             lambda e: (encode_rho2(tau2_from_endo(decode_endo(e))), 0)),
+    "act": ("apply a semidirect-product element to a nilpotent-quotient point",
+            (_ELEMENT, _POINT),
+            lambda f, p: (encode_phi2(act_on_phi2(decode_rho2(f), decode_phi2(p))), 0)),
+    "eval-word": ("image of a free-group word in the nilpotent quotient",
+                  (("word", "word {genus, letters}"),),
+                  lambda w: (encode_phi2(phi2_eval_word(decode_word(w))), 0)),
+    "phi2-member": ("does {eta, y} lie in the image of the free group",
+                    (_POINT,), lambda p: _member(phi2_pi_membership(decode_phi2(p)))),
+    "b-member": ("does {eta, y} lie in the image of the handlebody kernel subgroup",
+                 (_POINT,), lambda p: _member(phi2_b_membership(decode_phi2(p)))),
+    "mul": ("group product (semidirect product or nilpotent quotient)",
+            (("left", "element"), ("right", "element")), _mul),
+    "inv": ("group inverse (semidirect product or nilpotent quotient)",
+            (("element", "element"),), _inv),
+    "compute-E": ("parity obstruction values of a symplectic matrix", (_MATRIX,), _compute_E),
+    "validate-entry": ("run all self-certification checks on a catalog entry",
+                       (("entry", "catalog entry document"),), _validate_entry),
+    "basis": ("free basis of the Torelli part of the handlebody image", (_GENUS,), _basis),
+    "catalog-list": ("names and handlebody claims of the shipped catalog",
+                     (_GENUS,), _catalog_list),
+}
 
 
 # ---------------------------------------------------------------- dispatch
@@ -190,66 +184,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations in the level-two Johnson-Morita "
                     "representation of the one-boundary mapping class group.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, func, help_text, *fields):
-        p = sub.add_parser(name, help=help_text)
+    for verb, (help_text, fields, _) in VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
         for field, field_help in fields:
             p.add_argument(field, help=field_help + ' (path or "-")')
-        p.set_defaults(func=func)
-
-    add("check-mcg", _cmd_check_mcg,
-        "is (r, R) in the image of the mapping class group",
-        ("element", "semidirect-product element {r, R}"))
-    add("check-handlebody", _cmd_check_handlebody,
-        "is (r, R) in the image of the handlebody subgroup",
-        ("element", "semidirect-product element {r, R}"))
-    add("lift", _cmd_lift,
-        "canonical mapping-class image over a symplectic matrix",
-        ("matrix", "symplectic matrix {genus, rows}"))
-    add("rho2", _cmd_rho2,
-        "level-two representation of a free-group endomorphism",
-        ("endo", "endomorphism {genus, images}"))
-    add("act", _cmd_act,
-        "apply a semidirect-product element to a nilpotent-quotient point",
-        ("element", "semidirect-product element {r, R}"),
-        ("point", "quotient element {eta, y}"))
-    add("eval-word", _cmd_eval_word,
-        "image of a free-group word in the nilpotent quotient",
-        ("word", "word {genus, letters}"))
-    add("phi2-member", _cmd_phi2_member,
-        "does {eta, y} lie in the image of the free group",
-        ("point", "quotient element {eta, y}"))
-    add("b-member", _cmd_b_member,
-        "does {eta, y} lie in the image of the handlebody kernel subgroup",
-        ("point", "quotient element {eta, y}"))
-    add("mul", _cmd_mul,
-        "group product (semidirect product or nilpotent quotient)",
-        ("left", "element"), ("right", "element"))
-    add("inv", _cmd_inv,
-        "group inverse (semidirect product or nilpotent quotient)",
-        ("element", "element"))
-    add("compute-E", _cmd_compute_E,
-        "parity obstruction values of a symplectic matrix",
-        ("matrix", "symplectic matrix {genus, rows}"))
-    add("validate-entry", _cmd_validate_entry,
-        "run all self-certification checks on a catalog entry",
-        ("entry", "catalog entry document"))
-    add("basis", _cmd_basis,
-        "free basis of the Torelli part of the handlebody image",
-        ("genus", 'object with a "genus" field'))
-    add("catalog-list", _cmd_catalog_list,
-        "names and handlebody claims of the shipped catalog",
-        ("genus", 'object with a "genus" field'))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, fields, handler = VERBS[args.verb]
     try:
-        return args.func(args)
+        out, code = handler(*_load([getattr(args, field) for field, _ in fields]))
+        sys.stdout.write(canonical_dumps(out) + "\n")
     except (JmrepError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -66,3 +66,36 @@ def test_workload_record_keeps_each_runs_attempted_count():
     # one run is recorded as soon as its pair completes
     assert bench_pairs.workload_record(runs[:1], spec)["attempted_runs"] == {
         "parent": [2955], "change": [4125]}
+
+
+_PROBE = """\
+import json, sys
+sys.path.insert(0, "src")
+import jmrep
+print(json.dumps({"side": jmrep.SIDE, "cached": jmrep.__spec__.cached,
+                  "dont_write": sys.flags.dont_write_bytecode, "prefix": sys.pycache_prefix}))
+"""
+
+
+def test_each_side_runs_on_its_own_pinned_bytecode(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "elsewhere"))
+    for side in ("parent", "change"):
+        checkout = tmp_path / side
+        (checkout / "src" / "jmrep").mkdir(parents=True)
+        (checkout / "src" / "jmrep" / "__init__.py").write_text(f"SIDE = {side!r}\n")
+        (checkout / "bench").mkdir()
+        (checkout / "bench" / "run.py").write_text(_PROBE)
+        (checkout / "bench" / "helper.py").write_text("")
+        bench_pairs.pin_bytecode(checkout)
+        pycs = {p.name for p in checkout.rglob("__pycache__/*.pyc")}
+        assert {name.split(".")[0] for name in pycs} == {"__init__", "run", "helper"}
+
+        env = bench_pairs.run_env()
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1" and "PYTHONPYCACHEPREFIX" not in env
+        got = bench_pairs.run_bench(checkout, "represent", 1, 0, 0)
+        assert got["side"] == side
+        assert got["dont_write"] == 1 and got["prefix"] is None
+        # the package is read from the bytecode pinned beside its source
+        cached = Path(got["cached"])
+        assert cached.parent == checkout / "src" / "jmrep" / "__pycache__" and cached.is_file()
+    assert not (tmp_path / "elsewhere").exists()

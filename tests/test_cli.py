@@ -1,13 +1,35 @@
+import contextlib
 import io
 import json
 import random
+import resource
 import sys
+from pathlib import Path
 
 import pytest
 
-from jmrep import catalog, entry_to_dict
-from jmrep.cli import main
-from helpers import rand_symplectic
+from jmrep import (
+    EndomorphismSpec,
+    canonical_dumps,
+    catalog,
+    encode_endo,
+    encode_matrix,
+    encode_phi2,
+    encode_rho2,
+    encode_word,
+    entry_to_dict,
+)
+from jmrep.cli import VERBS, main
+from helpers import (
+    rand_catalog_product,
+    rand_member,
+    rand_phi2,
+    rand_pi_point,
+    rand_symplectic,
+    rand_word,
+)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 I2 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 I3 = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
@@ -308,3 +330,145 @@ def test_usage_errors_exit_2_via_argparse(capsys):
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_help_matches_the_golden_file(capsys, monkeypatch):
+    """The top-level help and every verb's help, rendered at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    parts = []
+    for argv in [[]] + [[verb] for verb in VERBS]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        parts.append("$ " + " ".join(["jmrep", *argv, "--help"]) + "\n" + capsys.readouterr().out)
+    assert "".join(parts) == (DATA / "cli_help.txt").read_text()
+
+
+@contextlib.contextmanager
+def address_space_cap(headroom=1 << 30):
+    """Cap this process's address space at its current size plus headroom.
+
+    Inside, an input that escapes the genus bound raises MemoryError instead
+    of taking the host's memory.  Without /proc (not Linux) nothing is capped.
+    """
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    try:
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[0]) * resource.getpagesize()
+    except OSError:
+        yield
+        return
+    cap = size + headroom
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("verb, doc", [
+    ("basis", {"genus": 17}),
+    ("catalog-list", {"genus": 17}),
+    ("eval-word", {"genus": 10**9, "letters": [1]}),
+    ("basis", {"genus": 10**9}),
+])
+def test_genus_past_the_bound_exits_2(tmp_path, capsys, verb, doc):
+    path = write_doc(tmp_path, "d.json", doc)
+    with address_space_cap():
+        code = main([verb, path])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: field 'genus' must be at most 16\n"
+
+
+def test_genus_at_the_bound_is_accepted(tmp_path, capsys):
+    code, out = run(capsys, ["catalog-list", write_doc(tmp_path, "g.json", {"genus": 16})])
+    assert (code, out) == (0, '{"entries":[],"genus":16}')
+
+
+# ---------------------------------------------------------------- fuzzing
+
+_OTHER_VALUES = ("x", True, 2.5, None, -1, [1, 2], [[1], [2]], {"x": 1})
+_BAD_GENUS = (0, True, 17, 10**9)
+
+
+def _valid_calls(rng, g):
+    """(verb, documents) for each of the 14 verbs at genus g."""
+    R = rand_symplectic(rng, g, length=4)
+    f, f2 = encode_rho2(rand_member(rng, g, R)), encode_rho2(rand_member(rng, g))
+    p, p2 = encode_phi2(rand_phi2(rng, g)), encode_phi2(rand_pi_point(rng, g))
+    m = encode_matrix(R)
+    if catalog(g):
+        endo = rand_catalog_product(rng, g, max_factors=3)
+        entry = entry_to_dict(rng.choice(catalog(g)))
+    else:
+        endo = EndomorphismSpec.identity(g)
+        images = [[k] for k in range(1, 2 * g + 1)]
+        entry = {"name": "identity", "genus": g, "images": images,
+                 "inverse_images": images, "claimed_handlebody": True}
+    return [
+        ("check-mcg", [f]), ("check-handlebody", [f]), ("lift", [m]),
+        ("rho2", [encode_endo(endo)]), ("act", [f, p]),
+        ("eval-word", [encode_word(rand_word(rng, g))]),
+        ("phi2-member", [p]), ("b-member", [p]),
+        ("mul", rng.choice([[f, f2], [p, p2]])), ("inv", [rng.choice([f, p])]),
+        ("compute-E", [m]), ("validate-entry", [entry]),
+        ("basis", [{"genus": g}]), ("catalog-list", [{"genus": g}]),
+    ]
+
+
+def _slots(holder):
+    """(container, key) of every node below holder, the document itself included."""
+    stack = [holder]
+    while stack:
+        node = stack.pop()
+        for key in (node if isinstance(node, dict) else range(len(node))):
+            yield node, key
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+
+
+def _mutate(rng, doc):
+    """A copy of doc with one wrong-typed node, missing field or bad genus."""
+    holder = [json.loads(json.dumps(doc))]
+    slots = list(_slots(holder))
+    kind = rng.choice(("wrong_type", "missing_field", "genus"))
+    if kind == "genus":
+        slots = [(c, k) for c, k in slots if k == "genus"] or slots
+    elif kind == "missing_field":
+        slots = [(c, k) for c, k in slots if isinstance(c, dict)] or slots
+    container, key = rng.choice(slots)
+    if kind == "missing_field" and isinstance(container, list):
+        kind = "wrong_type"  # an array has no field to drop
+    if kind == "missing_field":
+        del container[key]
+    else:
+        container[key] = rng.choice(_BAD_GENUS if kind == "genus" else _OTHER_VALUES)
+    return holder[0]
+
+
+def test_every_verb_keeps_the_exit_contract_on_mutated_documents(tmp_path, capsys):
+    """Exit 0 or 1 with one canonical line, or exit 2 with an error and no output."""
+    rng = random.Random(1100)
+    codes = {verb: set() for verb in VERBS}
+    with address_space_cap():
+        for round_ in range(6):
+            for g in (1, 2, 3):
+                for verb, docs in _valid_calls(rng, g):
+                    docs = list(docs)
+                    for _ in range(rng.randint(1, 2)):
+                        j = rng.randrange(len(docs))
+                        docs[j] = _mutate(rng, docs[j])
+                    paths = [write_doc(tmp_path, f"d{j}.json", d) for j, d in enumerate(docs)]
+                    code = main([verb, *paths])
+                    out, err = capsys.readouterr()
+                    assert code in (0, 1, 2), (verb, docs)
+                    if code == 2:
+                        assert out == "" and err.startswith("error: "), (verb, docs)
+                    else:
+                        assert out == canonical_dumps(json.loads(out)) + "\n", (verb, docs)
+                    codes[verb].add(code)
+    assert all(2 in seen for seen in codes.values())
+    assert any(seen & {0, 1} for seen in codes.values())

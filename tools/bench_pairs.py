@@ -10,9 +10,16 @@ default to those of the change's BENCHMARK.json, and T is its run_seconds.
 For workload number w in --workloads (counting from 0), pair k runs
 `python3 bench/run.py --workload W --seed S --seconds T --trace 0` with
 S = first_seed + 1000 * w + k in both checkouts, the parent first when k is
-even and the change first when k is odd.  Each run starts with no bytecode:
-the checkout's __pycache__ directories are removed and the run is made with
-PYTHONDONTWRITEBYTECODE=1, so neither side reads bytecode the other did not.
+even and the change first when k is odd.
+
+Bytecode is pinned per side: before the first run, each checkout's src/ and
+bench/ are compiled once with compileall, beside their sources, and every run
+is made with PYTHONDONTWRITEBYTECODE=1 and without PYTHONPYCACHEPREFIX.  So a
+run, and each CLI child it starts, reads its own side's bytecode and compiles
+nothing: start-up is timed, the compiler is not, and shorter source reads as
+no gain.  A cache prefix is not used because it also redirects the lookup of
+the standard library's bytecode, so every child would compile the standard
+library from source.
 
 Each workload records the operations every run attempted, per side and in
 pair order (attempted_runs), next to their sums.  A side that completes more
@@ -43,10 +50,10 @@ pair, so an interrupted run leaves what it measured.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -55,18 +62,25 @@ from statistics import quantiles
 RUN_TIMEOUT_S = 900
 
 
-def clear_bytecode(checkout: Path) -> None:
-    for cache in checkout.rglob("__pycache__"):
-        shutil.rmtree(cache, ignore_errors=True)
+def pin_bytecode(checkout: Path) -> None:
+    """Compile the checkout's src/ and bench/ once, replacing any bytecode there."""
+    for sub in ("src", "bench"):
+        if not compileall.compile_dir(checkout / sub, quiet=1, force=True):
+            raise RuntimeError(f"{checkout / sub}: compileall failed")
+
+
+def run_env() -> dict:
+    """The environment of every run: read the pinned bytecode, write none."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    return env
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run; returns the JSON object on the last line of its stdout."""
-    clear_bytecode(checkout)
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", str(trace)]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    res = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
+    res = subprocess.run(argv, cwd=checkout, env=run_env(), capture_output=True, text=True,
                          timeout=RUN_TIMEOUT_S)
     if res.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited {res.returncode}:\n"
@@ -157,6 +171,8 @@ def main(argv=None) -> int:
     for side, path in checkouts.items():
         if not (path / "bench" / "run.py").is_file():
             parser.error(f"--{side} {path} has no bench/run.py")
+    for path in checkouts.values():
+        pin_bytecode(path)
     with open(checkouts["change"] / "BENCHMARK.json") as fh:
         benchmark = json.load(fh)
     metrics_spec, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
@@ -167,8 +183,9 @@ def main(argv=None) -> int:
         "change": args.note,
         "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "method": "alternating parent/change pairs (parent first on even pairs), each side a "
-                  "copy of its source tree run with no bytecode cache "
-                  "(PYTHONDONTWRITEBYTECODE=1); quartiles by statistics.quantiles("
+                  "copy of its source tree; bytecode: pinned (src/ and bench/ compiled once per "
+                  "side with compileall, every run with PYTHONDONTWRITEBYTECODE=1 and no "
+                  "PYTHONPYCACHEPREFIX); quartiles by statistics.quantiles("
                   "method='inclusive'); change_wins counts pairs where the change is better; "
                   "parent_spread is the parent's interquartile range over its median",
         "python": platform.python_version(),
