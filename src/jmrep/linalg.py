@@ -21,9 +21,10 @@ symplectic check compares (M J M~)_ab = sum_k (M_a,k+g M_b,k - M_a,k M_b,k+g)
 with J_ab for a < b, and the inverse of M = (S T; P Q) in g x g blocks is
 (Q~ -T~; -P~ S~).
 
-Rows are never reassigned after construction, so the E map of
-membership.compute_E, which depends on a SymplecticMatrix alone, is computed
-once and kept in the matrix's private _memo.  The memo takes no part in
+Rows are never reassigned after construction, so the set of triples with
+E_ijk odd (membership._odd_E), which depends on a SymplecticMatrix alone, is
+computed once and kept, as a frozenset, in the matrix's private _memo; the
+exact map of membership.compute_E is not kept.  The memo takes no part in
 equality, hashing or repr.
 """
 

@@ -33,8 +33,12 @@ nor f^-1 need be checked:
 - Hence f(phi_2(b)) contains the central part of phi_2(b) and elements over
   every y in B, so f(phi_2(b)) = phi_2(b).
 
-E depends on R alone, so compute_E keeps the map in R's per-matrix memo (see
-linalg): a lift and the membership tests after it on one matrix share it.
+The theorem reads E only mod 2, where the signs vanish: with r_i the bits of
+row i of R mod 2 and s_i those of row i of RJ (the block swap of r_i),
+E_ijk = popcount(((s_i & r_j) ^ (r_i & s_j)) & r_k ^ (r_i & r_j) & s_k) mod 2.
+The set of odd triples depends on R alone, so _odd_E keeps it in R's
+per-matrix memo (see linalg): a lift and the membership tests after it on one
+matrix share it.  compute_E gives the exact integers and keeps nothing.
 """
 
 from __future__ import annotations
@@ -49,14 +53,10 @@ from .wedge import Wedge2, Wedge3
 
 
 def compute_E(R: SymplecticMatrix) -> dict:
-    """The complete map (i, j, k) -> E_ijk over all triples i < j < k, as a
-    fresh copy of the map kept on R, so the caller may change it."""
+    """The complete map (i, j, k) -> E_ijk over all triples i < j < k, exact,
+    computed afresh on each call."""
     if not isinstance(R, SymplecticMatrix):
         raise TypeError("compute_E needs a SymplecticMatrix")
-    return dict(R._derived("E", _E_map))
-
-
-def _E_map(R: SymplecticMatrix) -> dict:
     g, rows = R.genus, R.rows
     RJ = [_vJ(row) for row in rows]
     # E_ijk = .(si rj - ri sj, rk) + .(ri rj, sk), one dot product of
@@ -71,12 +71,32 @@ def _E_map(R: SymplecticMatrix) -> dict:
     return E
 
 
+def _odd_E(R: SymplecticMatrix) -> frozenset:
+    """The triples (i, j, k), i < j < k, with E_ijk odd, kept in R's memo."""
+    return R._derived("odd_E", _odd_E_set)
+
+
+def _odd_E_set(R: SymplecticMatrix) -> frozenset:
+    g, n = R.genus, 2 * R.genus
+    low = (1 << g) - 1
+    # bit c of r_i is R_ic mod 2 (v & 1 holds for negative and unbounded ints);
+    # s_i, the bits of row i of RJ = (row_b, -row_a), swaps the two g-bit halves
+    r = [sum((v & 1) << c for c, v in enumerate(row)) for row in R.rows]
+    s = [(x >> g) | ((x & low) << g) for x in r]
+    odd = []
+    for i, j in itertools.combinations(range(n), 2):
+        ri, rj, si, sj = r[i], r[j], s[i], s[j]
+        cross, prod = (si & rj) ^ (ri & sj), ri & rj
+        for k in range(j + 1, n):
+            if ((cross & r[k]) ^ (prod & s[k])).bit_count() & 1:
+                odd.append((i + 1, j + 1, k + 1))
+    return frozenset(odd)
+
+
 def mcg_odd_triples(f: Rho2Element) -> list:
     """Sorted triples i < j < k whose doubled coefficient of r differs from
     E_ijk mod 2; these witness that (r, R) is not a mapping-class value."""
-    E = compute_E(f.R)
-    twice = f.r._twice
-    return sorted(t for t, e in E.items() if (twice.get(t, 0) - e) % 2)
+    return sorted(_odd_E(f.R).symmetric_difference(t for t, c in f.r._twice.items() if c & 1))
 
 
 def mcg_membership(f: Rho2Element) -> bool:
@@ -86,8 +106,7 @@ def mcg_membership(f: Rho2Element) -> bool:
 
 def canonical_lift(R: SymplecticMatrix) -> Rho2Element:
     """The member over R whose doubled coefficients all lie in {0, 1}."""
-    E = compute_E(R)
-    r = Wedge3._of(R.genus, {t: 1 for t, e in E.items() if e % 2})
+    r = Wedge3._of(R.genus, dict.fromkeys(_odd_E(R), 1))
     return Rho2Element(r, R)
 
 

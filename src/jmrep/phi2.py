@@ -50,6 +50,8 @@ class Phi2Element:
         return cls(Wedge2.zero(genus), zero_vector(genus))
 
     def __mul__(self, other: "Phi2Element") -> "Phi2Element":
+        if not isinstance(other, Phi2Element):
+            return NotImplemented
         return phi2_mul(self, other)
 
     def __eq__(self, other) -> bool:
@@ -75,6 +77,8 @@ def phi2_mul(p: Phi2Element, q: Phi2Element) -> Phi2Element:
 
 def phi2_inv(p: Phi2Element) -> Phi2Element:
     """(eta, y)^-1 = (-eta, -y); the (1/2) y^y correction vanishes."""
+    if not isinstance(p, Phi2Element):
+        raise TypeError(f"phi2_inv needs a Phi2Element, got {type(p).__name__}")
     return Phi2Element(-p.eta, -p.y)
 
 

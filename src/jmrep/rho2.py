@@ -86,6 +86,8 @@ class Rho2Element:
         return cls(Wedge3.zero(genus), SymplecticMatrix.identity(genus))
 
     def __mul__(self, other: "Rho2Element") -> "Rho2Element":
+        if not isinstance(other, Rho2Element):
+            return NotImplemented
         return rho2_mul(self, other)
 
     def __eq__(self, other) -> bool:
@@ -111,6 +113,8 @@ def rho2_mul(f: Rho2Element, g: Rho2Element) -> Rho2Element:
 
 def rho2_inv(f: Rho2Element) -> Rho2Element:
     """(r, R)^-1 = (-(R^-1 r), R^-1)."""
+    if not isinstance(f, Rho2Element):
+        raise TypeError(f"rho2_inv needs a Rho2Element, got {type(f).__name__}")
     Rinv = f.R.inverse()
     return Rho2Element(-wedge3_sp_action(Rinv, f.r), Rinv)
 

@@ -6,10 +6,10 @@ symplectic_inverse apply J as a signed block swap; the oracles multiply by J
 or check the g x g block identities.  compute_E is compared with its defining
 triple-product formula.
 
-act_on_phi2 applies Lambda^2 R once, to eta + kappa(y), and compute_E keeps
-its map on the matrix; the tests below compare both with the full
-computation.  The matrix products are compared with the triple loop on
-entries beyond 2^64.
+act_on_phi2 applies Lambda^2 R once, to eta + kappa(y), and the matrix keeps
+the set of triples with E_ijk odd, not the exact map of compute_E; the tests
+below compare both with the full computation.  The matrix products are
+compared with the triple loop on entries beyond 2^64.
 """
 
 import itertools
@@ -163,11 +163,18 @@ def test_changing_a_returned_E_map_leaves_the_memo_intact():
         R = rand_symplectic(rng, g)
         fresh = SymplecticMatrix(R.rows)  # same matrix, its own empty memo
         want_E, want_lift = ref_compute_E(fresh), canonical_lift(fresh)
+        want_odd = frozenset(t for t, e in want_E.items() if e % 2)
         for spoil in spoilers:
             spoil(compute_E(R))
-            assert compute_E(R) == want_E
             assert canonical_lift(R) == want_lift
             assert mcg_membership(Rho2Element(want_lift.r, R))
+            assert compute_E(R) == want_E
+        # the memo holds the odd set alone, immutable, the same for equal rows
+        assert R._memo == fresh._memo == {"odd_E": want_odd}
+        assert type(R._memo["odd_E"]) is frozenset
+        bare = SymplecticMatrix(R.rows)
+        compute_E(bare)
+        assert bare._memo == {}
 
 
 @pytest.mark.parametrize("k", (2, 3))

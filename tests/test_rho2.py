@@ -21,6 +21,7 @@ from jmrep import (
     morita_shift,
     morita_tau2_prime,
     phi2_eval_word,
+    phi2_inv,
     principal_crossed_hom,
     rho2_inv,
     rho2_mul,
@@ -54,6 +55,23 @@ def test_mul_and_inv_frozen_cases():
     assert rho2_mul(Rho2Element(w1, I), Rho2Element(w2, I)) == Rho2Element(w1 + w2, I)
     assert rho2_inv(Rho2Element(w1, I)) == Rho2Element(-w1, I)
     assert rho2_mul(f, rho2_inv(f)) == ident
+
+
+_FOREIGN_OPERANDS = {
+    "rho2 * phi2": lambda f, p: f * p,
+    "phi2 * rho2": lambda f, p: p * f,
+    "rho2 * int": lambda f, p: f * 3,
+    "rho2_inv(phi2)": lambda f, p: rho2_inv(p),
+    "phi2_inv(rho2)": lambda f, p: phi2_inv(f),
+}
+
+
+@pytest.mark.parametrize("case", _FOREIGN_OPERANDS)
+def test_a_foreign_operand_raises_type_error(case):
+    rng = random.Random(4)
+    f, p = rand_member(rng, 2), rand_phi2(rng, 2)
+    with pytest.raises(TypeError):
+        _FOREIGN_OPERANDS[case](f, p)
 
 
 def test_inv_twists_the_fiber():

@@ -157,7 +157,7 @@ def test_memoized_columns_match_the_rows(g):
     R, S = rand_symplectic(rng, g), rand_symplectic(rng, g)
     A = IntMatrix(R.rows)
     for M in (R, S):
-        compute_E(M)  # matrices with a filled memo
+        canonical_lift(M)  # matrices with a filled memo
     results = (R * S, A * R, R * A, R.inverse(), symplectic_inverse(S), A.transpose(),
                R.transpose(), -A, -R, SymplecticMatrix.identity(g),
                transvection(rand_vector(rng, g, bound=1)), decode_matrix(encode_matrix(S)))
