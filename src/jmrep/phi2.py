@@ -70,6 +70,9 @@ class Phi2Element:
 
 def phi2_mul(p: Phi2Element, q: Phi2Element) -> Phi2Element:
     """(eta, y)(nu, z) = (eta + nu + (1/2) y^z, y + z)."""
+    if not (isinstance(p, Phi2Element) and isinstance(q, Phi2Element)):
+        names = f"{type(p).__name__} * {type(q).__name__}"
+        raise TypeError(f"phi2_mul needs two Phi2Elements, got {names}")
     if p.genus != q.genus:
         raise GenusMismatch(f"genus {p.genus} vs {q.genus}")
     return Phi2Element(p.eta + q.eta + half_wedge2_of(p.y, q.y), p.y + q.y)

@@ -106,6 +106,9 @@ class Rho2Element:
 
 def rho2_mul(f: Rho2Element, g: Rho2Element) -> Rho2Element:
     """(r_f, R_f)(r_g, R_g) = (r_f + R_f r_g, R_f R_g)."""
+    if not (isinstance(f, Rho2Element) and isinstance(g, Rho2Element)):
+        names = f"{type(f).__name__} * {type(g).__name__}"
+        raise TypeError(f"rho2_mul needs two Rho2Elements, got {names}")
     if f.genus != g.genus:
         raise GenusMismatch(f"genus {f.genus} vs {g.genus}")
     return Rho2Element(f.r + wedge3_sp_action(f.R, g.r), f.R * g.R)

@@ -27,15 +27,15 @@ element of (1/2)W3(H) fails it and raises NotInWedge3.  wedge3_embed
 builds all 2g images in one pass over the terms of r: a term touches only
 the images at the symplectic partners of its three indices.
 
-R acts on W3(H) through Lambda^2 R: grouping r by
-first index, r = sum_i x_i ^ rho_i with rho_i = sum_(j<k) r_ijk x_j^x_k, and
-R r = sum_i R x_i ^ (Lambda^2 R)(rho_i), where (Lambda^2 R)(rho_i) =
-sum_j R x_j ^ R(sum_k r_ijk x_k) is accumulated in a dense array.  R acts
-on W2(H) by that same Lambda^2 R.
+R acts on W2(H) by Lambda^2 R, accumulated in a dense array.  On W3(H) it
+packs vectors into big ints of fixed-width fields (Kronecker substitution), so
+each Lambda^2 block and each row of the result is a few integer products.
 """
 
 from __future__ import annotations
 
+from itertools import chain, combinations, repeat
+from operator import itemgetter, lshift, mul
 from typing import Iterable, Mapping
 
 from .errors import GenusMismatch, NotInWedge3
@@ -237,13 +237,12 @@ def wedge3_of(u: HVector, v: HVector, w: HVector) -> Wedge3:
     """The integral product u ^ v ^ w; coefficients are 3x3 minors."""
     if not (u.genus == v.genus == w.genus):
         raise GenusMismatch("mixed genera in wedge3_of")
-    n = 2 * u.genus
-    A = [[0] * n for _ in range(n)]
-    for (i, j), t in half_wedge2_of(u, v)._twice.items():
-        A[i - 1][j - 1] = t
-    out = {}
-    _add_vector_wedge(w.coeffs, A, out)  # one call: every key is set once, nonzero
-    return 2 * Wedge3._of(u.genus, out)
+    a, b, c = u.coeffs, v.coeffs, w.coeffs
+    minors = {(p + 1, q + 1, s + 1): 2 * (a[p] * (b[q] * c[s] - b[s] * c[q])
+                                          - a[q] * (b[p] * c[s] - b[s] * c[p])
+                                          + a[s] * (b[p] * c[q] - b[q] * c[p]))
+              for p, q, s in combinations(range(len(a)), 3)}
+    return Wedge3._of(u.genus, _nonzero(minors))
 
 
 def kappa(y: HVector) -> Wedge2:
@@ -426,22 +425,6 @@ def _lambda2(cols, terms):
     return A
 
 
-def _add_vector_wedge(c, A, out):
-    """Add the coefficients of c ^ A (in the scale of A) to out, keyed by 1-based
-    triples: c_p A_qs - c_q A_ps + c_s A_pq at p<q<s, over indices where c or A is live."""
-    live = [p for p, (cp, row, col) in enumerate(zip(c, A, zip(*A))) if cp or any(row) or any(col)]
-    for x, p in enumerate(live):
-        cp, Ap = c[p], A[p]
-        for y in range(x + 1, len(live)):
-            q = live[y]
-            cq, Aq, Apq = c[q], A[q], Ap[q]
-            for s in live[y + 1:]:
-                v = cp * Aq[s] - cq * Ap[s] + c[s] * Apq
-                if v:
-                    key = (p + 1, q + 1, s + 1)
-                    out[key] = out.get(key, 0) + v
-
-
 def wedge2_sp_action(R: IntMatrix, w: Wedge2) -> Wedge2:
     """R acting on W2(H): x_i ^ x_j -> (R x_i) ^ (R x_j), extended linearly."""
     if R.genus != w.genus:
@@ -458,17 +441,58 @@ def wedge3_sp_action(R: IntMatrix, r: Wedge3) -> Wedge3:
 
     This is the unique action making wedge3_embed equivariant with the
     conjugation action on Hom(H, (1/2)W2(H)).
+
+    With c_m = R x_m, R r = sum_i c_i ^ A_i for the antisymmetric matrices
+    A_i = sum_(j<k) t_ijk (c_j (x) c_k - c_k (x) c_j) = sum_m c_m (x) w_im, where
+    w_ij += t_ijk c_k and w_ik -= t_ijk c_j.  Vectors are cut to the L rows
+    where a reached column is nonzero and packed into ints of W-bit fields
+    (Kronecker substitution), c -> sum_s c_s 2^(W s), and a matrix puts its row
+    q at field L q.  So row q of A_i is sum_m R_qm w_im, Y_p = sum_i R_pi A_i is
+    one sum of int products, and (R r)_pqs = Y_p[q,s] - Y_q[p,s] + Y_s[p,q].
+
+    Field (q, s) of Y_p sums t R_pi (R_qj R_sk - R_qk R_sj) over the terms, so
+    it is at most F = 2 M^3 sum|t| in size, M the largest entry of a reached
+    column.  W is the least multiple of 8 with F < 2^(W-1): with 2^(W-1) added,
+    every field lies in [0, 2^W), none carries into the next, and the bytes of
+    Y_p read the fields back.
     """
     if R.genus != r.genus:
         raise GenusMismatch(f"genus {R.genus} vs {r.genus}")
-    cols = R._cols()
-    rho = {}
-    for (i, j, k), t in r._twice.items():
-        rho.setdefault(i, []).append(((j, k), t))
-    out = {}
-    for i, terms in rho.items():
-        _add_vector_wedge(cols[i - 1], _lambda2(cols, terms), out)
-    return Wedge3._of(r.genus, _nonzero(out))
+    twice = r._twice
+    if not twice:
+        return Wedge3._of(r.genus, {})
+    n = len(R.rows)
+    reached = [m - 1 for m in set(chain.from_iterable(twice))]
+    at = itemgetter(*reached)  # three or more columns, so it returns tuples
+    rows = [p for p, row in enumerate(R.rows) if any(at(row))]
+    if not rows:  # R kills every column that r reaches
+        return Wedge3._of(r.genus, {})
+    live = [R.rows[p] for p in rows]
+    L = len(live)
+    cols = list(zip(*live))
+    M = max(map(abs, chain.from_iterable(map(cols.__getitem__, reached))))
+    B = (2 * M ** 3 * sum(map(abs, twice.values()))).bit_length() // 8 + 1
+    W = 8 * B
+    packed = [0] * n
+    for m in reached:
+        packed[m] = sum(map(lshift, cols[m], range(0, W * L, W)))
+    w = {}  # i -> [packed w_im for every m]
+    for (i, j, k), t in twice.items():
+        wi = w.get(i - 1) or w.setdefault(i - 1, [0] * n)
+        wi[j - 1] += t * packed[k - 1]
+        wi[k - 1] -= t * packed[j - 1]
+    A, row_at = [0] * n, range(0, W * L * L, W * L)
+    for i, wi in w.items():
+        A[i] = sum(map(lshift, [sum(map(mul, row, wi)) for row in live], row_at))
+    bias = int.from_bytes((bytes(B - 1) + b"\x80") * (L * L), "little")
+    ys = (sum(map(mul, row, A), bias).to_bytes(L * L * B, "little") for row in live)
+    upper = [slice((q * L + s) * B, (q * L + s + 1) * B) for q, s in combinations(range(L), 2)]
+    Y = [list(map(int.from_bytes, map(b.__getitem__, upper), repeat("little"))) for b in ys]
+    st = [q * L - q * (q + 3) // 2 - 1 for q in range(L)]  # (q, s) is upper field st[q] + s
+    keys, half = combinations([p + 1 for p in rows], 3), 1 << W - 1
+    out = {key: v for (x, y, z), key in zip(combinations(range(L), 3), keys)
+           if (v := Y[x][st[y] + z] - Y[y][st[x] + z] + Y[z][st[x] + y] - half)}
+    return Wedge3._of(r.genus, out)
 
 
 def sp_action_on_hom(R: SymplecticMatrix, m: HomHW2) -> HomHW2:

@@ -1,7 +1,9 @@
 """The structure-aware Sp kernels against their definitions.
 
-wedge2_sp_action / wedge3_sp_action go through Lambda^2 R; the oracles in
-helpers expand every term by minors.  symplectic_check and
+wedge2_sp_action goes through Lambda^2 R.  wedge3_sp_action packs vectors
+into big ints of W-bit fields (Kronecker substitution), W set by a bound on the
+largest field; one test below puts that field next to a byte boundary.
+The oracles in helpers expand every term by minors.  symplectic_check and
 symplectic_inverse apply J as a signed block swap; the oracles multiply by J
 or check the g x g block identities.  compute_E is compared with its defining
 triple-product formula.
@@ -94,6 +96,24 @@ def test_kernels_match_the_minor_expansion(g):
         assert wedge3_sp_action(R, r) == ref_wedge3_sp_action(R, r)
         if g == 1:
             assert r.is_zero() and wedge3_sp_action(R, r).is_zero()
+
+
+# (m, t) with R = m I and one term t: the one nonzero field is m^3 t, half of
+# the bound F = 2 m^3 |t| that sets the width.  F lies just below 2^23 or 2^135
+# (its top bit the highest a width allows) or just above (one byte more);
+# m = 0 leaves no live row.
+BOUNDARY_CASES = [(161, 1), (161, -1), (162, 1), (162, -1), (2 ** 30 - 1, -(2 ** 44 - 1)),
+                  (-(2 ** 30 - 1), 2 ** 44 - 1), (2 ** 30, 2 ** 44), (2 ** 30, -(2 ** 44)), (0, 5)]
+
+
+@pytest.mark.parametrize("m, t", BOUNDARY_CASES)
+def test_the_largest_field_next_to_the_width_bound(m, t):
+    assert (2 * abs(m) ** 3 * abs(t)).bit_length() % 8 in (7, 0)
+    g = 3
+    R = IntMatrix([[m * (p == q) for q in range(2 * g)] for p in range(2 * g)])
+    for key in ((1, 2, 3), (2, 4, 6), (4, 5, 6)):
+        r = Wedge3(g, {key: t})
+        assert wedge3_sp_action(R, r) == Wedge3(g, {key: m ** 3 * t}) == ref_wedge3_sp_action(R, r)
 
 
 @pytest.mark.parametrize("g", range(1, 6))

@@ -22,6 +22,7 @@ from jmrep import (
     morita_tau2_prime,
     phi2_eval_word,
     phi2_inv,
+    phi2_mul,
     principal_crossed_hom,
     rho2_inv,
     rho2_mul,
@@ -63,6 +64,9 @@ _FOREIGN_OPERANDS = {
     "rho2 * int": lambda f, p: f * 3,
     "rho2_inv(phi2)": lambda f, p: rho2_inv(p),
     "phi2_inv(rho2)": lambda f, p: phi2_inv(f),
+    "rho2_mul(rho2, phi2)": lambda f, p: rho2_mul(f, p),
+    "phi2_mul(phi2, rho2)": lambda f, p: phi2_mul(p, f),
+    "rho2_mul(rho2, int)": lambda f, p: rho2_mul(f, 3),
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from jmrep import (
     wedge3_sp_action,
 )
 from helpers import (
+    _det3,
     rand_integral_wedge3,
     rand_member,
     rand_symplectic,
@@ -187,6 +189,18 @@ def test_wedge3_of_matches_basis():
     a1, a2, b2 = basis_vector(g, 1), basis_vector(g, 2), basis_vector(g, 4)
     assert wedge3_of(a1, a2, b2) == Wedge3.basis(g, 1, 2, 4)
     assert wedge3_of(a1, a1, b2).is_zero()
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_wedge3_of_is_the_3x3_minors(g):
+    # at g = 1 there are no triples and the product is zero
+    rng = random.Random(60 + g)
+    for _ in range(4):
+        u, v, w = (rand_vector(rng, g) for _ in range(3))
+        want = {(p + 1, q + 1, s + 1): 2 * _det3(u.coeffs, v.coeffs, w.coeffs, p, q, s)
+                for p, q, s in itertools.combinations(range(2 * g), 3)}
+        assert wedge3_of(u, v, w) == Wedge3(g, want)
+        assert wedge3_of(u, v, u).is_zero()
 
 
 def test_integrality_flag():
