@@ -11,7 +11,8 @@ where R acts on W3(H) columnwise, and (r, R) acts on Phi_2 by
 
 with r(.) the homomorphism induced by the wedge embedding.  Note that the
 r-term is evaluated at R y; this is the expansion that makes * a left
-action compatible with the group law above.
+action compatible with the group law above.  act_on_phi2 sums the eta
+part as R(eta + kappa(y)) - kappa(R y) + r(R y) in one dense array.
 
 tau2_from_endo sends a free-group endomorphism f to the pair (r, R)
 whose action realizes f on the image of phi_2.  Writing
@@ -48,12 +49,13 @@ from .wedge import (
     HomHW2,
     Wedge2,
     Wedge3,
+    _contract,
+    _lambda2,
     _nonzero,
     _pair_minors,
+    _upper,
     kappa,
     sp_action_on_hom,
-    wedge2_sp_action,
-    wedge3_apply,
     wedge3_decode,
     wedge3_embed,
     wedge3_of,
@@ -127,15 +129,21 @@ def act_on_phi2(f: Rho2Element, p: Phi2Element) -> Phi2Element:
 
     (r, R) * (eta, y) = (R eta - kappa(Ry) + R kappa(y) + r(Ry), Ry),
 
-    computed as (R(eta + kappa(y)) - kappa(Ry) + r(Ry), Ry): R acts linearly
-    on W2(H), so one Lambda^2 action serves both terms.
+    computed as (R(eta + kappa(y)) - kappa(Ry) + r(Ry), Ry) in one dense
+    array: R acts linearly on W2(H), so one Lambda^2 action of eta + kappa(y)
+    fills it, kappa(Ry) comes off its a_i^b_i entries, r(Ry) is added term by
+    term, and the array is read out once.  Other operand types: TypeError.
     """
+    if not (isinstance(f, Rho2Element) and isinstance(p, Phi2Element)):
+        names = f"{type(f).__name__}, {type(p).__name__}"
+        raise TypeError(f"act_on_phi2 needs a Rho2Element and a Phi2Element, got {names}")
     if f.genus != p.genus:
         raise GenusMismatch(f"genus {f.genus} vs {p.genus}")
-    R = f.R
-    Ry = R * p.y
-    eta = wedge2_sp_action(R, p.eta + kappa(p.y)) - kappa(Ry) + wedge3_apply(f.r, Ry)
-    return Phi2Element(eta, Ry)
+    Ry = f.R * p.y
+    A = _lambda2(f.R._cols(), [*p.eta._twice.items(), *kappa(p.y)._twice.items()])
+    for (i, j), t in kappa(Ry)._twice.items():
+        A[i - 1][j - 1] -= t
+    return Phi2Element(Wedge2._of(p.genus, _upper(_contract(f.r._twice, Ry.coeffs, A))), Ry)
 
 
 def tau2_tilde_from_endo(endo: EndomorphismSpec):

@@ -27,15 +27,18 @@ element of (1/2)W3(H) fails it and raises NotInWedge3.  wedge3_embed
 builds all 2g images in one pass over the terms of r: a term touches only
 the images at the symplectic partners of its three indices.
 
-R acts on W2(H) by Lambda^2 R, accumulated in a dense array.  On W3(H) it
-packs vectors into big ints of fixed-width fields (Kronecker substitution), so
-each Lambda^2 block and each row of the result is a few integer products.
+R acts on W2(H) by Lambda^2 R in a dense upper-triangular array, which one
+loop adds a contraction r(v) into and one helper reads out.  On W3(H) it packs
+vectors into big ints of fixed-width fields (Kronecker substitution), so each
+Lambda^2 block and each row of the result is a few integer products.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations, repeat
-from operator import itemgetter, lshift, mul
+from functools import cache
+from itertools import chain, combinations, compress, product, repeat
+from operator import add, itemgetter, lshift, mul, sub
+from sys import byteorder
 from typing import Iterable, Mapping
 
 from .errors import GenusMismatch, NotInWedge3
@@ -47,6 +50,10 @@ from .linalg import (
     basis_label,
     basis_vector,
 )
+
+# memoryview.cast reads words in the host's byte order (see wedge3_sp_action)
+_STEP = 1 if byteorder == "little" else -1
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def _fmt_terms(twice_map, genus):
@@ -351,27 +358,38 @@ def kappa_hom(genus: int) -> HomHW2:
     return HomHW2(tuple(kappa(basis_vector(genus, i)) for i in range(1, 2 * genus + 1)))
 
 
+def _contract(twice: dict, v: tuple, A: list) -> list:
+    """Add the value at v of the homomorphism induced by a Wedge3's terms into
+    the dense upper-triangular A, A[i - 1][j - 1] the x_i^x_j coefficient."""
+    vJ = _vJ(v)  # <v, x_k> = -(v~J)_k
+    for (i, j, k), t in twice.items():
+        ck = vJ[k - 1]
+        if ck:
+            A[i - 1][j - 1] -= t * ck
+        ci = vJ[i - 1]
+        if ci:
+            A[j - 1][k - 1] -= t * ci
+        cj = vJ[j - 1]
+        if cj:  # x_k ^ x_i = -(x_i ^ x_k)
+            A[i - 1][k - 1] += t * cj
+    return A
+
+
+def _upper(A: list) -> dict:
+    """The nonzero entries of a dense upper-triangular A, keyed by 1-based pairs."""
+    flat = list(chain.from_iterable(A))
+    return dict(compress(zip(_pairs(len(A)), flat), flat))
+
+
+_pairs = cache(lambda n: list(product(range(1, n + 1), repeat=2)))  # of n x n, by rows
+
+
 def wedge3_apply(r: Wedge3, v: HVector) -> Wedge2:
     """Evaluate the homomorphism induced by r in W3(H) at the vector v."""
     if r.genus != v.genus:
         raise GenusMismatch(f"genus {r.genus} vs {v.genus}")
-    vJ = _vJ(v.coeffs)  # <v, x_k> = -(v~J)_k
-    out = {}
-    for (i, j, k), t in r._twice.items():
-        ck = vJ[k - 1]
-        if ck:
-            key = (i, j)
-            out[key] = out.get(key, 0) - t * ck
-        ci = vJ[i - 1]
-        if ci:
-            key = (j, k)
-            out[key] = out.get(key, 0) - t * ci
-        cj = vJ[j - 1]
-        if cj:
-            # x_k ^ x_i = -(x_i ^ x_k)
-            key = (i, k)
-            out[key] = out.get(key, 0) + t * cj
-    return Wedge2._of(r.genus, _nonzero(out))
+    A = [[0] * len(v.coeffs) for _ in v.coeffs]
+    return Wedge2._of(r.genus, _upper(_contract(r._twice, v.coeffs, A)))
 
 
 def wedge3_embed(r: Wedge3) -> HomHW2:
@@ -429,11 +447,7 @@ def wedge2_sp_action(R: IntMatrix, w: Wedge2) -> Wedge2:
     """R acting on W2(H): x_i ^ x_j -> (R x_i) ^ (R x_j), extended linearly."""
     if R.genus != w.genus:
         raise GenusMismatch(f"genus {R.genus} vs {w.genus}")
-    A = _lambda2(R._cols(), w._twice.items())
-    return Wedge2._of(
-        w.genus,
-        {(p + 1, q + 1): a for p, row in enumerate(A) for q, a in enumerate(row) if a},
-    )
+    return Wedge2._of(w.genus, _upper(_lambda2(R._cols(), w._twice.items())))
 
 
 def wedge3_sp_action(R: IntMatrix, r: Wedge3) -> Wedge3:
@@ -452,9 +466,14 @@ def wedge3_sp_action(R: IntMatrix, r: Wedge3) -> Wedge3:
 
     Field (q, s) of Y_p sums t R_pi (R_qj R_sk - R_qk R_sj) over the terms, so
     it is at most F = 2 M^3 sum|t| in size, M the largest entry of a reached
-    column.  W is the least multiple of 8 with F < 2^(W-1): with 2^(W-1) added,
-    every field lies in [0, 2^W), none carries into the next, and the bytes of
-    Y_p read the fields back.
+    column.  W = 8 B, B the least byte count with F < 2^(W-1) rounded up to
+    1, 2, 4 or a multiple of 8: with 2^(W-1) added, every field lies in
+    [0, 2^W) and none carries into the next.  One memoryview cast of the joined
+    rows reads every word, and each triple's three fields are summed word by
+    word (word j shifted by 64 j, k = B / 8 words when B > 8, else k = 1).  Rows
+    are written in the host's byte order, which the cast reads; a big-endian
+    host joins them last first and reads the words in reverse, so on either
+    host the words run up from the lowest word of the first row.
     """
     if R.genus != r.genus:
         raise GenusMismatch(f"genus {R.genus} vs {r.genus}")
@@ -472,6 +491,7 @@ def wedge3_sp_action(R: IntMatrix, r: Wedge3) -> Wedge3:
     cols = list(zip(*live))
     M = max(map(abs, chain.from_iterable(map(cols.__getitem__, reached))))
     B = (2 * M ** 3 * sum(map(abs, twice.values()))).bit_length() // 8 + 1
+    B = 1 << (B - 1).bit_length() if B <= 4 else -(-B // 8) * 8
     W = 8 * B
     packed = [0] * n
     for m in reached:
@@ -485,14 +505,25 @@ def wedge3_sp_action(R: IntMatrix, r: Wedge3) -> Wedge3:
     for i, wi in w.items():
         A[i] = sum(map(lshift, [sum(map(mul, row, wi)) for row in live], row_at))
     bias = int.from_bytes((bytes(B - 1) + b"\x80") * (L * L), "little")
-    ys = (sum(map(mul, row, A), bias).to_bytes(L * L * B, "little") for row in live)
-    upper = [slice((q * L + s) * B, (q * L + s + 1) * B) for q, s in combinations(range(L), 2)]
-    Y = [list(map(int.from_bytes, map(b.__getitem__, upper), repeat("little"))) for b in ys]
-    st = [q * L - q * (q + 3) // 2 - 1 for q in range(L)]  # (q, s) is upper field st[q] + s
-    keys, half = combinations([p + 1 for p in rows], 3), 1 << W - 1
-    out = {key: v for (x, y, z), key in zip(combinations(range(L), 3), keys)
-           if (v := Y[x][st[y] + z] - Y[y][st[x] + z] + Y[z][st[x] + y] - half)}
-    return Wedge3._of(r.genus, out)
+    ys = [sum(map(mul, row, A), bias).to_bytes(L * L * B, byteorder) for row in live]
+    size, k = min(B, 8), max(B // 8, 1)
+    words = memoryview(b"".join(ys[::_STEP])).cast(_FORMATS[size])[::_STEP]
+    a, b, c = _triple_fields(L)
+    v = repeat(-(1 << W - 1))
+    for j in range(k):  # word j of every field, shifted by 64 j
+        at = words[j::k].tolist().__getitem__
+        v = list(map(add, v, map(lshift, map(sub, map(add, map(at, a), map(at, c)), map(at, b)),
+                                 repeat(64 * j))))
+    return Wedge3._of(r.genus, dict(compress(zip(combinations([p + 1 for p in rows], 3), v), v)))
+
+
+@cache
+def _triple_fields(L: int) -> tuple:
+    """Field numbers L^2 p + L q + s of Y_x[y,z], Y_y[x,z], Y_z[x,y], x < y < z < L."""
+    triples = list(combinations(range(L), 3))
+    return ([(x * L + y) * L + z for x, y, z in triples],
+            [(y * L + x) * L + z for x, y, z in triples],
+            [(z * L + x) * L + y for x, y, z in triples])
 
 
 def sp_action_on_hom(R: SymplecticMatrix, m: HomHW2) -> HomHW2:

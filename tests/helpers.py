@@ -26,10 +26,10 @@ from jmrep import (
     endo_compose,
     kappa,
     make_J,
+    pairing,
     phi2_eval_word,
     rho2_inv,
     transvection,
-    wedge3_apply,
     word_reduce,
 )
 
@@ -124,10 +124,21 @@ def rand_phi2(rng, g, bound=3):
 # jmrep.words and jmrep.phi2 are compared against.
 
 
+def ref_wedge3_apply(r, y):
+    """The homomorphism induced by r at y, term by term from
+    (x_i^x_j^x_k)(y) = <y,x_k> x_i^x_j + <y,x_i> x_j^x_k + <y,x_j> x_k^x_i."""
+    g = r.genus
+    out = {}
+    for (i, j, k), t in r.terms():
+        for key, n, sign in (((i, j), k, 1), ((j, k), i, 1), ((i, k), j, -1)):
+            out[key] = out.get(key, 0) + sign * t * pairing(y, basis_vector(g, n))
+    return Wedge2(g, out)
+
+
 def ref_wedge3_embed(r):
     """The embedding evaluated at each basis vector in turn."""
     g = r.genus
-    return HomHW2(tuple(wedge3_apply(r, basis_vector(g, n)) for n in range(1, 2 * g + 1)))
+    return HomHW2(tuple(ref_wedge3_apply(r, basis_vector(g, n)) for n in range(1, 2 * g + 1)))
 
 
 def ref_phi2_eval_word(w):
@@ -199,7 +210,7 @@ def ref_act_on_phi2(f, p):
     R = f.R
     Ry = R * p.y
     eta = (ref_wedge2_sp_action(R, p.eta) - kappa(Ry)
-           + ref_wedge2_sp_action(R, kappa(p.y)) + wedge3_apply(f.r, Ry))
+           + ref_wedge2_sp_action(R, kappa(p.y)) + ref_wedge3_apply(f.r, Ry))
     return Phi2Element(eta, Ry)
 
 

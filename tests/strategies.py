@@ -9,7 +9,7 @@ import itertools
 
 from hypothesis import settings, strategies as st
 
-from jmrep import HVector, SymplecticMatrix, Wedge3, transvection
+from jmrep import HVector, Phi2Element, SymplecticMatrix, Wedge2, Wedge3, transvection
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -43,3 +43,13 @@ def wedge3s(g: int):
         return st.just(Wedge3.zero(g))
     coeffs = st.dictionaries(st.sampled_from(triples), st.integers(-2 ** 70, 2 ** 70))
     return coeffs.map(lambda d: Wedge3(g, d))
+
+
+def phi2_points(g: int):
+    """A point (eta, y) of Phi_2 at genus g, doubled coefficients of eta and
+    coordinates of y up to 2^70 in size."""
+    pairs = list(itertools.combinations(range(1, 2 * g + 1), 2))
+    big = st.integers(-2 ** 70, 2 ** 70)
+    return st.builds(lambda d, y: Phi2Element(Wedge2(g, d), HVector(y)),
+                     st.dictionaries(st.sampled_from(pairs), big),
+                     st.lists(big, min_size=2 * g, max_size=2 * g))

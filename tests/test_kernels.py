@@ -2,15 +2,18 @@
 
 wedge2_sp_action goes through Lambda^2 R.  wedge3_sp_action packs vectors
 into big ints of W-bit fields (Kronecker substitution), W set by a bound on the
-largest field; one test below puts that field next to a byte boundary.
+largest field and rounded up to a width class (1, 2 or 4 bytes, or a multiple
+of 8); the tests below put that field next to a byte boundary and next to the
+edge of each class.
 The oracles in helpers expand every term by minors.  symplectic_check and
 symplectic_inverse apply J as a signed block swap; the oracles multiply by J
 or check the g x g block identities.  compute_E is compared with its defining
 triple-product formula.
 
-act_on_phi2 applies Lambda^2 R once, to eta + kappa(y), and the matrix keeps
-the set of triples with E_ijk odd, not the exact map of compute_E; the tests
-below compare both with the full computation.  The matrix products are
+act_on_phi2 sums R(eta + kappa(y)) - kappa(Ry) + r(Ry) in one dense array,
+and the matrix keeps the set of triples with E_ijk odd, not the exact map of
+compute_E; the tests below compare both with the full computation, term by
+term.  The matrix products are
 compared with the triple loop on entries beyond 2^64.
 """
 
@@ -116,6 +119,26 @@ def test_the_largest_field_next_to_the_width_bound(m, t):
         assert wedge3_sp_action(R, r) == Wedge3(g, {key: m ** 3 * t}) == ref_wedge3_sp_action(R, r)
 
 
+# R has the block (m 0 0; 0 m m; 0 -m m) on three indices, so the one
+# field of r = t x_i^x_j^x_k under R is 2 m^3 t, as large as the bound F that
+# sets the width.  F lies just below 2^e, the top of a width class (2, 4, 8 or
+# 16 bytes, the last read as two words), or just past it, with both signs.
+EDGE_CASES = [(e, above, sign) for e in (15, 31, 63, 127) for above in (0, 1) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("e, above, sign", EDGE_CASES)
+def test_the_largest_field_at_each_width_class_edge(e, above, sign):
+    m, g = 3, 3
+    t = sign * ((2 ** e - 1) // (2 * m ** 3) + above)
+    assert (2 * m ** 3 * abs(t)).bit_length() == e + above
+    for key in ((1, 2, 3), (2, 4, 6), (4, 5, 6)):
+        rows = [[int(p == q) for q in range(2 * g)] for p in range(2 * g)]
+        i, j, k = (x - 1 for x in key)
+        rows[i][i], rows[j][j], rows[j][k], rows[k][j], rows[k][k] = m, m, m, -m, m
+        R, r, want = IntMatrix(rows), Wedge3(g, {key: t}), Wedge3(g, {key: 2 * m ** 3 * t})
+        assert wedge3_sp_action(R, r) == want == ref_wedge3_sp_action(R, r)
+
+
 @pytest.mark.parametrize("g", range(1, 6))
 def test_act_on_phi2_at_central_points_matches_the_full_formula(g):
     rng = random.Random(700 + g)
@@ -131,8 +154,8 @@ def test_act_on_phi2_at_central_points_matches_the_full_formula(g):
 
 @pytest.mark.parametrize("g", range(1, 6))
 def test_act_on_phi2_at_non_central_points_matches_the_full_formula(g):
-    # act_on_phi2 applies Lambda^2 R once, to eta + kappa(y); the oracle applies
-    # it to eta and to kappa(y) apart
+    # act_on_phi2 applies Lambda^2 R once, to eta + kappa(y), in the array it
+    # reads out; the oracle applies it to eta and to kappa(y) apart
     rng = random.Random(750 + g)
     for _ in range(3):
         R = rand_symplectic(rng, g)

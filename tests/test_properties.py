@@ -6,6 +6,9 @@ and the packed Lambda^3 action wedge3_sp_action with the minor expansion in
 helpers.ref_wedge3_sp_action, on transvection products with negative entries
 and with entries beyond 2^64.  The action must also commute with the
 embedding into Hom(H, (1/2)W2(H)), and rho2_mul must be a group law.
+act_on_phi2, which sums its terms in one dense array, is compared with
+helpers.ref_act_on_phi2, which adds them up as wedges, and with the laws of
+a left action by automorphisms of Phi_2.
 """
 
 import pytest
@@ -14,16 +17,19 @@ from hypothesis import given, strategies as st
 from jmrep import (
     Rho2Element,
     Wedge3,
+    act_on_phi2,
     canonical_lift,
+    phi2_mul,
     rho2_inv,
     rho2_mul,
     sp_action_on_hom,
+    wedge3_apply,
     wedge3_embed,
     wedge3_sp_action,
 )
 from jmrep.membership import _odd_E, mcg_odd_triples
-from helpers import ref_compute_E, ref_wedge3_sp_action
-from strategies import PROFILE, genera, symplectic_matrices, wedge3s
+from helpers import ref_act_on_phi2, ref_compute_E, ref_wedge3_apply, ref_wedge3_sp_action
+from strategies import PROFILE, genera, phi2_points, symplectic_matrices, wedge3s
 
 
 def ref_odd_E(R) -> set:
@@ -77,3 +83,25 @@ def test_rho2_mul_is_a_group_law(data):
     one = Rho2Element.identity(g)
     assert rho2_mul(one, f) == f == rho2_mul(f, one)
     assert rho2_mul(f, rho2_inv(f)) == one == rho2_mul(rho2_inv(f), f)
+
+
+
+@PROFILE
+@given(st.data())
+def test_act_on_phi2_is_the_sum_of_its_terms(data):
+    g = data.draw(genera)
+    f = Rho2Element(data.draw(wedge3s(g)), data.draw(symplectic_matrices(st.just(g))))
+    p = data.draw(phi2_points(g))
+    assert wedge3_apply(f.r, p.y) == ref_wedge3_apply(f.r, p.y)
+    assert act_on_phi2(f, p) == ref_act_on_phi2(f, p)
+
+
+@PROFILE
+@given(st.data())
+def test_act_on_phi2_is_a_left_action_by_automorphisms(data):
+    g = data.draw(genera)
+    f, h = (Rho2Element(data.draw(wedge3s(g)), data.draw(symplectic_matrices(st.just(g))))
+            for _ in range(2))
+    p, q = (data.draw(phi2_points(g)) for _ in range(2))
+    assert act_on_phi2(rho2_mul(f, h), p) == act_on_phi2(f, act_on_phi2(h, p))
+    assert act_on_phi2(f, phi2_mul(p, q)) == phi2_mul(act_on_phi2(f, p), act_on_phi2(f, q))

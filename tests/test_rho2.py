@@ -67,6 +67,9 @@ _FOREIGN_OPERANDS = {
     "rho2_mul(rho2, phi2)": lambda f, p: rho2_mul(f, p),
     "phi2_mul(phi2, rho2)": lambda f, p: phi2_mul(p, f),
     "rho2_mul(rho2, int)": lambda f, p: rho2_mul(f, 3),
+    "act_on_phi2(phi2, rho2)": lambda f, p: act_on_phi2(p, f),
+    "act_on_phi2(rho2, int)": lambda f, p: act_on_phi2(f, 3),
+    "act_on_phi2(rho2, rho2)": lambda f, p: act_on_phi2(f, f),
 }
 
 
