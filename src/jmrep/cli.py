@@ -26,6 +26,7 @@ import sys
 from .catalog import catalog, entry_from_dict, validate_entry
 from .errors import JmrepError
 from .jsonio import (
+    _bounded_int,
     _genus_of,
     canonical_dumps,
     decode_endo,
@@ -61,7 +62,7 @@ def _load(paths) -> list:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         try:
-            docs.append(json.loads(text))
+            docs.append(json.loads(text, parse_int=_bounded_int))
         except RecursionError:
             raise ValueError("input is nested too deeply") from None
     return docs

@@ -32,6 +32,17 @@ def _require(cond: bool, msg: str) -> None:
 # the one place every decoder reads its genus, instead of exhausting memory.
 MAX_GENUS = 16
 
+# The most digits an integer in a document may have, checked on its text before
+# conversion.  The largest output, mul's fiber r_f + R_f r_g, has about four input
+# sizes of digits, below Python's 4,300-digit limit on printing an int.
+MAX_DIGITS = 1000
+
+
+def _bounded_int(text: str) -> int:
+    _require(len(text.lstrip("-")) <= MAX_DIGITS,
+             f"integers must have at most {MAX_DIGITS} digits")
+    return int(text)
+
 
 def _genus_of(doc) -> int:
     _require(isinstance(doc, dict), "expected a JSON object")

@@ -96,7 +96,7 @@ def _build_twice(genus, terms, arity):
     out = {}
     for idx, t in items:
         idx = tuple(idx)
-        if len(idx) != arity or any(not isinstance(i, int) for i in idx):
+        if len(idx) != arity or any(isinstance(i, bool) or not isinstance(i, int) for i in idx):
             raise ValueError(f"bad index tuple {idx!r}")
         if not all(1 <= i <= n for i in idx) or any(
             idx[k] >= idx[k + 1] for k in range(arity - 1)

@@ -68,6 +68,21 @@ def test_workload_record_keeps_each_runs_attempted_count():
         "parent": [2955], "change": [4125]}
 
 
+def test_line_counts_split_code_from_package_data(tmp_path):
+    pkg = tmp_path / "src" / "jmrep"
+    (pkg / "data" / "genus2").mkdir(parents=True)
+    (tmp_path / "bench").mkdir()
+    (pkg / "__init__.py").write_text("a = 1\nb = 2\n")
+    (pkg / "data" / "genus2" / "entry.json").write_text("{\n}\n")
+    (pkg / "data" / "table.txt").write_text("x\n")
+    bench_pairs.pin_bytecode(tmp_path)  # run first in main: its bytecode is not data
+    assert any(pkg.rglob("__pycache__/*.pyc"))
+    assert bench_pairs.src_lines(tmp_path) == 2
+    assert bench_pairs.package_data_lines(tmp_path) == 3
+    (pkg / "data" / "genus2" / "entry.json").unlink()
+    assert bench_pairs.package_data_lines(tmp_path) == 1
+
+
 _PROBE = """\
 import json, sys
 sys.path.insert(0, "src")

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,9 @@ from jmrep import (
     transvection,
     validate_entry,
 )
+from jmrep.catalog import _entries
+
+FIXTURES = Path(__file__).resolve().parent / "data" / "catalog"
 
 
 @pytest.mark.parametrize("g", (2, 3))
@@ -36,7 +41,31 @@ def test_shipped_names_are_unique_and_cover_both_claims(g):
 
 
 def test_catalog_of_unshipped_genus_is_empty():
-    assert catalog(7) == []
+    # The benchmark's represent pool is catalog(g) plus its own twist entries at
+    # g = 3 and 4: a nonempty catalog(4) would change that workload.
+    assert catalog(1) == catalog(4) == catalog(7) == []
+
+
+@pytest.mark.parametrize("g", (2, 3))
+def test_catalog_reproduces_the_golden_entries(g):
+    fixtures = sorted((FIXTURES / f"genus{g}").glob("*.json"))
+    assert [entry_to_dict(e) for e in catalog(g)] == [json.loads(f.read_text()) for f in fixtures]
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_generated_entries_pass_validation(g):
+    entries = _entries(g)
+    assert len({e.name for e in entries}) == len(entries)
+    for entry in entries:
+        report = validate_entry(entry)
+        assert report.passed, (entry.name, report.failures)
+    identity = SymplecticMatrix.identity(g)
+    # tau vanishes on separating twists (Johnson 1980)
+    for entry in entries:
+        if entry.name in ("boundary_twist", "separating_twist_12"):
+            f = tau2_from_endo(entry.spec)
+            assert f.r.is_zero() and f.R == identity, entry.name
+    assert ("separating_twist_12" in {e.name for e in entries}) == (g >= 3)
 
 
 def test_twist_b_entry_has_transvection_degree_two_value():
@@ -47,8 +76,8 @@ def test_twist_b_entry_has_transvection_degree_two_value():
 
 
 def test_cross_twist_entries_mix_handles():
-    for g in (2, 3):
-        by_name = {e.name: e for e in catalog(g)}
+    for g in range(2, 6):
+        by_name = {e.name: e for e in _entries(g)}
         cross = by_name["cross_twist_b12"]
         R = SymplecticMatrix(cross.spec.abelianization().rows)
         assert R == transvection(basis_vector(g, g + 1) + basis_vector(g, g + 2))

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import random
 import resource
@@ -20,6 +21,7 @@ from jmrep import (
     entry_to_dict,
 )
 from jmrep.cli import VERBS, main
+from jmrep.jsonio import MAX_DIGITS
 from helpers import (
     rand_catalog_product,
     rand_member,
@@ -388,10 +390,46 @@ def test_genus_at_the_bound_is_accepted(tmp_path, capsys):
     assert (code, out) == (0, '{"entries":[],"genus":16}')
 
 
+def _element_at_the_digit_bound(g):
+    """(r, R) with MAX_DIGITS-digit integers: every doubled coefficient of r, and
+    the symmetric block S of R = [[I, S], [0, I]], whose 3x3 minors are large."""
+    unit, n = 10 ** (MAX_DIGITS - 1), 2 * g
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j in itertools.product(range(g), repeat=2):
+        rows[i][g + j] = unit * (1 + (i * i + j * j + i * j) % 9)
+    terms = [{"idx": list(t), "twice": 10 ** MAX_DIGITS - 1}
+             for t in itertools.combinations(range(1, n + 1), 3)]
+    return {"r": {"genus": g, "terms": terms}, "R": {"genus": g, "rows": rows}}
+
+
+def test_mul_at_the_digit_bound_prints(tmp_path, capsys):
+    """mul's fiber r_f + R_f r_g, the largest output, has about four input sizes."""
+    f = write_doc(tmp_path, "f.json", _element_at_the_digit_bound(3))
+    code, out = run(capsys, ["mul", f, f])
+    assert code == 0
+    digits = max(len(str(abs(t["twice"]))) for t in json.loads(out)["r"]["terms"])
+    assert 4 * MAX_DIGITS - 5 < digits < 4300
+
+
+@pytest.mark.parametrize("digits", [MAX_DIGITS + 1, 5000])
+def test_integer_past_the_digit_bound_exits_2(tmp_path, capsys, digits):
+    # 5000 digits is also past Python's own limit on converting text to an int
+    doc = _element_at_the_digit_bound(3)
+    doc["r"]["terms"][0]["twice"] = "HUGE"
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', "-" + "9" * digits))
+    f = write_doc(tmp_path, "f.json", _element_at_the_digit_bound(3))
+    code = main(["mul", f, str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: integers must have at most {MAX_DIGITS} digits\n"
+
+
 # ---------------------------------------------------------------- fuzzing
 
 _OTHER_VALUES = ("x", True, 2.5, None, -1, [1, 2], [[1], [2]], {"x": 1})
 _BAD_GENUS = (0, True, 17, 10**9)
+_HUGE = (10 ** MAX_DIGITS, -(10 ** MAX_DIGITS))
 
 
 def _valid_calls(rng, g):
@@ -430,13 +468,17 @@ def _slots(holder):
                 stack.append(node[key])
 
 
-def _mutate(rng, doc):
-    """A copy of doc with one wrong-typed node, missing field or bad genus."""
+def _mutate(rng, doc, kind=None):
+    """A copy of doc with one wrong-typed node, missing field, bad genus or huge integer.
+
+    The kind is drawn from the first three unless given."""
     holder = [json.loads(json.dumps(doc))]
     slots = list(_slots(holder))
-    kind = rng.choice(("wrong_type", "missing_field", "genus"))
+    kind = kind or rng.choice(("wrong_type", "missing_field", "genus"))
     if kind == "genus":
         slots = [(c, k) for c, k in slots if k == "genus"] or slots
+    elif kind == "huge":
+        slots = [(c, k) for c, k in slots if type(c[k]) is int]
     elif kind == "missing_field":
         slots = [(c, k) for c, k in slots if isinstance(c, dict)] or slots
     container, key = rng.choice(slots)
@@ -445,14 +487,29 @@ def _mutate(rng, doc):
     if kind == "missing_field":
         del container[key]
     else:
-        container[key] = rng.choice(_BAD_GENUS if kind == "genus" else _OTHER_VALUES)
+        container[key] = rng.choice(
+            {"genus": _BAD_GENUS, "huge": _HUGE}.get(kind, _OTHER_VALUES))
     return holder[0]
 
 
 def test_every_verb_keeps_the_exit_contract_on_mutated_documents(tmp_path, capsys):
-    """Exit 0 or 1 with one canonical line, or exit 2 with an error and no output."""
-    rng = random.Random(1100)
+    """Exit 0 or 1 with one canonical line, or exit 2 with an error and no output.
+
+    A huge integer anywhere in a document exits 2 for every verb."""
+    rng, huge_rng = random.Random(1100), random.Random(1101)
     codes = {verb: set() for verb in VERBS}
+
+    def call(verb, docs):
+        paths = [write_doc(tmp_path, f"d{j}.json", d) for j, d in enumerate(docs)]
+        code = main([verb, *paths])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (verb, docs)
+        if code == 2:
+            assert out == "" and err.startswith("error: "), (verb, docs)
+        else:
+            assert out == canonical_dumps(json.loads(out)) + "\n", (verb, docs)
+        return code
+
     with address_space_cap():
         for round_ in range(6):
             for g in (1, 2, 3):
@@ -461,14 +518,12 @@ def test_every_verb_keeps_the_exit_contract_on_mutated_documents(tmp_path, capsy
                     for _ in range(rng.randint(1, 2)):
                         j = rng.randrange(len(docs))
                         docs[j] = _mutate(rng, docs[j])
-                    paths = [write_doc(tmp_path, f"d{j}.json", d) for j, d in enumerate(docs)]
-                    code = main([verb, *paths])
-                    out, err = capsys.readouterr()
-                    assert code in (0, 1, 2), (verb, docs)
-                    if code == 2:
-                        assert out == "" and err.startswith("error: "), (verb, docs)
-                    else:
-                        assert out == canonical_dumps(json.loads(out)) + "\n", (verb, docs)
-                    codes[verb].add(code)
+                    codes[verb].add(call(verb, docs))
+        for g in (1, 2, 3):
+            for verb, docs in _valid_calls(huge_rng, g):
+                docs = list(docs)
+                j = huge_rng.randrange(len(docs))
+                docs[j] = _mutate(huge_rng, docs[j], "huge")
+                assert call(verb, docs) == 2, (verb, docs)
     assert all(2 in seen for seen in codes.values())
     assert any(seen & {0, 1} for seen in codes.values())

@@ -62,6 +62,17 @@ def test_wedge2_rejects_bad_indices():
         Wedge2(2, {(2, 1): 2})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Wedge3(2, {(True, 2, 3): 2}),
+    lambda: Wedge2(2, {(1, True): 2}),
+    lambda: Wedge3.basis(2, True, 2, 3),
+])
+def test_wedge_rejects_bool_indices(make):
+    # True == 1, so a bool index would pass the range check and encode as true
+    with pytest.raises(ValueError, match="bad index tuple"):
+        make()
+
+
 def test_wedge_rejects_non_integer_coefficients():
     with pytest.raises(ValueError):
         Wedge3(2, {(1, 2, 3): 1.0})

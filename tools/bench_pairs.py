@@ -21,6 +21,10 @@ no gain.  A cache prefix is not used because it also redirects the lookup of
 the standard library's bytecode, so every child would compile the standard
 library from source.
 
+The output records each side's size: src_lines counts the lines of the
+package's .py files, package_data_lines those of its other files (bytecode
+aside).
+
 Each workload records the operations every run attempted, per side and in
 pair order (attempted_runs), next to their sums.  A side that completes more
 operations in the same T reads a higher peak_rss_mb, since ru_maxrss only
@@ -88,12 +92,23 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return json.loads(res.stdout.strip().splitlines()[-1])
 
 
-def src_lines(checkout: Path) -> int:
+def _lines(paths) -> int:
     total = 0
-    for path in sorted((checkout / "src" / "jmrep").rglob("*.py")):
+    for path in paths:
         with open(path, "rb") as fh:
             total += sum(1 for _ in fh)
     return total
+
+
+def src_lines(checkout: Path) -> int:
+    return _lines(sorted((checkout / "src" / "jmrep").rglob("*.py")))
+
+
+def package_data_lines(checkout: Path) -> int:
+    """Lines of the package's non-Python files: the data it ships besides code."""
+    pkg = checkout / "src" / "jmrep"
+    return _lines(p for p in sorted(pkg.rglob("*")) if p.is_file() and p.suffix != ".py"
+                  and "__pycache__" not in p.relative_to(pkg).parts)
 
 
 def quartiles(values) -> dict:
@@ -191,6 +206,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "src_lines": {side: src_lines(path) for side, path in checkouts.items()},
+        "package_data_lines": {side: package_data_lines(path)
+                               for side, path in checkouts.items()},
         "workloads": {},
     }
 
