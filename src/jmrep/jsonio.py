@@ -2,11 +2,12 @@
 
 All documents carry an explicit "genus" field and all indices are 1-based.
 Encoders emit canonical form: sorted keys, strictly increasing index tuples,
-zero terms dropped.  Decoders are forgiving about term order and accumulate
-repeated index tuples, but reject anything structurally off with ValueError
-(or a jmrep error subclass, all of which the CLI maps to exit code 2).  A
-decoder that has checked every field builds its value through the trusted
-_of constructor, so no entry is checked twice.
+zero terms dropped.  Decoders check the shape of a document (an object, its
+fields, arrays, lengths tied to the genus) and the public constructors check
+the entries, once.  The wedge decoders sign and accumulate unsorted, repeated
+index tuples, which Wedge2/Wedge3 reject, so they check indices themselves and
+build through the trusted _of.  Anything off raises ValueError or a jmrep error
+(the CLI maps both to exit code 2).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .errors import GenusMismatch
-from .linalg import HVector, IntMatrix, SymplecticMatrix, _require_symplectic
+from .linalg import HVector, IntMatrix, SymplecticMatrix
 from .phi2 import Phi2Element
 from .rho2 import Rho2Element
 from .wedge import Wedge2, Wedge3, _nonzero, _sort_signed
@@ -53,14 +54,6 @@ def _genus_of(doc) -> int:
     return g
 
 
-def _int_list(val, what: str) -> list:
-    _require(isinstance(val, list), f"{what} must be an array")
-    for x in val:
-        _require(isinstance(x, int) and not isinstance(x, bool),
-                 f"{what} must contain only integers")
-    return val
-
-
 # ---------------------------------------------------------------- vectors
 
 def encode_hvector(v: HVector) -> dict:
@@ -69,9 +62,10 @@ def encode_hvector(v: HVector) -> dict:
 
 def decode_hvector(doc) -> HVector:
     g = _genus_of(doc)
-    coeffs = _int_list(doc.get("coeffs"), "'coeffs'")
+    coeffs = doc.get("coeffs")
+    _require(isinstance(coeffs, list), "'coeffs' must be an array")
     _require(len(coeffs) == 2 * g, "'coeffs' must have length 2*genus")
-    return HVector._of(tuple(coeffs))
+    return HVector(coeffs)  # checks each coefficient
 
 
 # ---------------------------------------------------------------- matrices
@@ -80,21 +74,21 @@ def encode_matrix(M: IntMatrix) -> dict:
     return {"genus": M.genus, "rows": [list(r) for r in M.rows]}
 
 
-def decode_matrix(doc) -> IntMatrix:
+def _rows(doc) -> list:
     g = _genus_of(doc)
     rows = doc.get("rows")
     _require(isinstance(rows, list) and len(rows) == 2 * g,
              "'rows' must be an array of 2*genus rows")
-    for r in rows:
-        _int_list(r, "matrix row")
-        _require(len(r) == 2 * g, "matrix rows must have length 2*genus")
-    return IntMatrix._of(tuple(tuple(r) for r in rows))
+    _require(all(isinstance(r, list) for r in rows), "matrix row must be an array")
+    return rows  # the constructor checks that each row has length 2*genus
+
+
+def decode_matrix(doc) -> IntMatrix:
+    return IntMatrix(_rows(doc))  # checks each entry
 
 
 def decode_symplectic(doc) -> SymplecticMatrix:
-    M = decode_matrix(doc)
-    _require_symplectic(M)  # raises NotSymplectic when the pairing is not preserved
-    return SymplecticMatrix._of(M.rows)
+    return SymplecticMatrix(_rows(doc))  # also raises NotSymplectic unless M J M~ = J
 
 
 # ---------------------------------------------------------------- wedges
@@ -119,7 +113,10 @@ def _decode_terms(doc, arity: int):
     acc: dict = {}
     for item in terms:
         _require(isinstance(item, dict), "each term must be an object")
-        idx = _int_list(item.get("idx"), "'idx'")
+        idx = item.get("idx")
+        _require(isinstance(idx, list), "'idx' must be an array")
+        _require(all(isinstance(i, int) and not isinstance(i, bool) for i in idx),
+                 "'idx' must contain only integers")
         _require(len(idx) == arity, f"'idx' must have {arity} entries")
         for i in idx:
             _require(1 <= i <= 2 * g, "'idx' entries must lie in 1..2*genus")
@@ -148,11 +145,9 @@ def encode_word(w: FreeWord) -> dict:
 
 def decode_word(doc) -> FreeWord:
     g = _genus_of(doc)
-    letters = _int_list(doc.get("letters"), "'letters'")
-    for s in letters:
-        _require(s != 0 and abs(s) <= 2 * g,
-                 "letters must be nonzero and within +-2*genus")
-    return FreeWord._of(g, tuple(letters))
+    letters = doc.get("letters")
+    _require(isinstance(letters, list), "'letters' must be an array")
+    return FreeWord(g, letters)  # checks each letter
 
 
 # ---------------------------------------------------------------- phi2 / rho2

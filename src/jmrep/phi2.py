@@ -69,12 +69,10 @@ class Phi2Element:
 
 
 def phi2_mul(p: Phi2Element, q: Phi2Element) -> Phi2Element:
-    """(eta, y)(nu, z) = (eta + nu + (1/2) y^z, y + z)."""
+    """(eta, y)(nu, z) = (eta + nu + (1/2) y^z, y + z); eta + nu checks genus."""
     if not (isinstance(p, Phi2Element) and isinstance(q, Phi2Element)):
         names = f"{type(p).__name__} * {type(q).__name__}"
         raise TypeError(f"phi2_mul needs two Phi2Elements, got {names}")
-    if p.genus != q.genus:
-        raise GenusMismatch(f"genus {p.genus} vs {q.genus}")
     return Phi2Element(p.eta + q.eta + half_wedge2_of(p.y, q.y), p.y + q.y)
 
 
@@ -157,22 +155,22 @@ def phi2_word_synthesis(p: Phi2Element) -> FreeWord:
     central commutator corrections [xi_i, xi_j]^n_ij.  Raises ValueError
     when p fails phi2_pi_membership.
     """
-    if not phi2_pi_membership(p):
-        raise ValueError("element is not in the image of phi_2")
-    g = p.genus
-    n = 2 * g
+    n = 2 * p.genus
     l = p.y.coeffs
-    letters = []
-    for i in range(1, n + 1):
-        li = l[i - 1]
-        letters += [i if li > 0 else -i] * abs(li)
+    counts = []  # (i, j, n_ij), each residual read once, before any letter is built
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             # the generator string contributes l_i l_j in doubled units
             diff = p.eta.twice(i, j) - l[i - 1] * l[j - 1]
-            count = diff // 2
-            if count > 0:
-                letters += [i, j, -i, -j] * count
-            elif count < 0:
-                letters += [j, i, -j, -i] * (-count)
-    return FreeWord._of(g, tuple(letters))
+            if diff % 2:
+                raise ValueError("element is not in the image of phi_2")
+            counts.append((i, j, diff // 2))
+    letters = []
+    for i, li in enumerate(l, start=1):
+        letters += [i if li > 0 else -i] * abs(li)
+    for i, j, count in counts:
+        if count > 0:
+            letters += [i, j, -i, -j] * count
+        elif count < 0:
+            letters += [j, i, -j, -i] * (-count)
+    return FreeWord._of(p.genus, tuple(letters))

@@ -107,12 +107,10 @@ class Rho2Element:
 
 
 def rho2_mul(f: Rho2Element, g: Rho2Element) -> Rho2Element:
-    """(r_f, R_f)(r_g, R_g) = (r_f + R_f r_g, R_f R_g)."""
+    """(r_f, R_f)(r_g, R_g) = (r_f + R_f r_g, R_f R_g); wedge3_sp_action checks genus."""
     if not (isinstance(f, Rho2Element) and isinstance(g, Rho2Element)):
         names = f"{type(f).__name__} * {type(g).__name__}"
         raise TypeError(f"rho2_mul needs two Rho2Elements, got {names}")
-    if f.genus != g.genus:
-        raise GenusMismatch(f"genus {f.genus} vs {g.genus}")
     return Rho2Element(f.r + wedge3_sp_action(f.R, g.r), f.R * g.R)
 
 
@@ -137,9 +135,7 @@ def act_on_phi2(f: Rho2Element, p: Phi2Element) -> Phi2Element:
     if not (isinstance(f, Rho2Element) and isinstance(p, Phi2Element)):
         names = f"{type(f).__name__}, {type(p).__name__}"
         raise TypeError(f"act_on_phi2 needs a Rho2Element and a Phi2Element, got {names}")
-    if f.genus != p.genus:
-        raise GenusMismatch(f"genus {f.genus} vs {p.genus}")
-    Ry = f.R * p.y
+    Ry = f.R * p.y  # checks genus
     A = _lambda2(f.R._cols(), [*p.eta._twice.items(), *kappa(p.y)._twice.items()])
     for (i, j), t in kappa(Ry)._twice.items():
         A[i - 1][j - 1] -= t

@@ -290,16 +290,6 @@ class HomHW2:
         """Value at the basis vector x_n (1-based)."""
         return self.images[n - 1]
 
-    def evaluate(self, v: HVector) -> Wedge2:
-        """Value at an arbitrary vector, by linearity."""
-        if v.genus != self.genus:
-            raise GenusMismatch(f"genus {self.genus} vs {v.genus}")
-        out = Wedge2.zero(self.genus)
-        for c, img in zip(v.coeffs, self.images):
-            if c:
-                out = out + c * img
-        return out
-
     def precompose(self, M: IntMatrix) -> "HomHW2":
         """The homomorphism m o M, i.e. x_n -> m(M x_n)."""
         if M.genus != self.genus:
@@ -527,11 +517,10 @@ def _triple_fields(L: int) -> tuple:
 
 
 def sp_action_on_hom(R: SymplecticMatrix, m: HomHW2) -> HomHW2:
-    """The change-of-basis action (R m)(y) = R(m(R^-1 y)) on HomHW2."""
+    """The change-of-basis action (R m)(y) = R(m(R^-1 y)) on HomHW2; wedge2_sp_action
+    checks genus."""
     if not isinstance(R, SymplecticMatrix):
         raise TypeError("sp_action_on_hom needs a SymplecticMatrix")
-    if R.genus != m.genus:
-        raise GenusMismatch(f"genus {R.genus} vs {m.genus}")
     pushed = HomHW2(tuple(wedge2_sp_action(R, w) for w in m.images))
     return pushed.precompose(R.inverse())
 

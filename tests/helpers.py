@@ -13,6 +13,8 @@ from jmrep import (
     HomHW2,
     HVector,
     IntMatrix,
+    NotInWedge3,
+    NotSymplectic,
     Phi2Element,
     Rho2Element,
     SymplecticMatrix,
@@ -21,14 +23,18 @@ from jmrep import (
     WordLengthExceeded,
     act_on_phi2,
     basis_vector,
+    boundary_word,
     canonical_lift,
     catalog,
     endo_compose,
+    handlebody_membership,
+    handlebody_sp_check,
     kappa,
     make_J,
     pairing,
     phi2_eval_word,
     rho2_inv,
+    tau2_from_endo,
     transvection,
     word_reduce,
 )
@@ -180,6 +186,36 @@ def ref_endo_apply(e, w, max_letters=None):
     out = FreeWord(w.genus, stack)
     assert out == word_reduce(FreeWord(w.genus, raw))
     return out
+
+
+def ref_validate_failures(entry):
+    """The failures of validate_entry with the composite checked in both orders,
+    each by ref_endo_apply, and M J M~ = J by products with J."""
+    g, spec, inverse = entry.genus, entry.spec, entry.inverse_spec
+    if inverse.genus != g:
+        return ("inverse genus differs",)
+    failures = []
+    generators = [(k,) for k in range(1, 2 * g + 1)]
+    for outer, inner, name in ((spec, inverse, "spec o inverse_spec"),
+                               (inverse, spec, "inverse_spec o spec")):
+        if [ref_endo_apply(outer, w).letters for w in inner.images] != generators:
+            failures.append(f"{name} is not the identity")
+    R = spec.abelianization()
+    symplectic = ref_symplectic_form(R) == make_J(g)
+    if not symplectic:
+        failures.append("abelianization is not symplectic")
+    if ref_endo_apply(spec, boundary_word(g)) != boundary_word(g):
+        failures.append("boundary word is not fixed")
+    if entry.claimed_handlebody and symplectic:
+        if not handlebody_sp_check(R):
+            failures.append("claimed handlebody but upper-right block is nonzero")
+        else:
+            try:
+                if not handlebody_membership(tau2_from_endo(spec)):
+                    failures.append("claimed handlebody but membership fails")
+            except (NotSymplectic, NotInWedge3) as exc:
+                failures.append(f"claimed handlebody but degree-two value fails: {exc}")
+    return tuple(failures)
 
 
 def _det3(a, b, c, p, q, r):

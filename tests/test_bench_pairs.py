@@ -1,6 +1,8 @@
 """The verdicts of tools/bench_pairs.py on hand-made pairs of runs."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -114,3 +116,60 @@ def test_each_side_runs_on_its_own_pinned_bytecode(tmp_path, monkeypatch):
         cached = Path(got["cached"])
         assert cached.parent == checkout / "src" / "jmrep" / "__pycache__" and cached.is_file()
     assert not (tmp_path / "elsewhere").exists()
+
+
+class _Ran:
+    def __init__(self, returncode):
+        self.returncode, self.stdout, self.stderr = returncode, "1 failed\n", ""
+
+
+def _stub_tier1(monkeypatch, walls, returncode=0):
+    """Stand-ins for subprocess.run and the clock: each run takes the next wall
+    time of `walls` and exits `returncode`; returns the list of recorded calls."""
+    calls, clock = [], iter(x for wall in walls for x in (0.0, wall))
+
+    def fake_run(argv, **kwargs):
+        calls.append((argv, kwargs))
+        return _Ran(returncode)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs.time, "perf_counter", lambda: next(clock))
+    return calls
+
+
+def test_tier1_s_is_the_best_of_three_runs_of_the_tier1_command(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", "elsewhere")
+    calls = _stub_tier1(monkeypatch, [12.5, 11.0, 14.0])
+    assert bench_pairs.tier1_s(tmp_path) == 11.0
+    assert len(calls) == 3
+    for argv, kwargs in calls:
+        assert argv[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+        assert kwargs["cwd"] == tmp_path
+        env = kwargs["env"]
+        assert env["PYTHONPATH"].split(os.pathsep) == ["src", "elsewhere"]
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_a_failing_tier1_run_stops_the_tool(tmp_path, monkeypatch):
+    _stub_tier1(monkeypatch, [1.0], returncode=1)
+    with pytest.raises(RuntimeError, match="Tier-1 exited 1"):
+        bench_pairs.tier1_s(tmp_path)
+
+
+def test_main_records_tier1_s_for_each_side(tmp_path, monkeypatch):
+    walls = {"parent": 9.0, "change": 7.5}
+    for side in walls:
+        (tmp_path / side / "src" / "jmrep").mkdir(parents=True)
+        (tmp_path / side / "bench").mkdir()
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "represent"}],
+        "end_to_end": [{"name": "ops_per_s", "unit": "1/s", "better": "higher",
+                        "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "tier1_s", lambda checkout: walls[checkout.name])
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: {
+        "failed": 0, "attempted": 10, "metrics": {"ops_per_s": {"value": 5.0}}})
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--out", str(out), "--pairs", "2"]) == 0
+    assert json.loads(out.read_text())["tier1_s"] == walls

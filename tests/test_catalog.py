@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from jmrep import (
     CatalogEntry,
     EndomorphismSpec,
+    FreeWord,
     SymplecticMatrix,
     basis_vector,
     catalog,
@@ -18,6 +20,7 @@ from jmrep import (
     validate_entry,
 )
 from jmrep.catalog import _entries
+from helpers import ref_validate_failures
 
 FIXTURES = Path(__file__).resolve().parent / "data" / "catalog"
 
@@ -66,6 +69,35 @@ def test_generated_entries_pass_validation(g):
             f = tau2_from_endo(entry.spec)
             assert f.r.is_zero() and f.R == identity, entry.name
     assert ("separating_twist_12" in {e.name for e in entries}) == (g >= 3)
+
+
+def _broken_variants(entry):
+    """The entry made self-inverse, with one image of its spec lengthened, and
+    with the first two images of its inverse swapped."""
+    g, spec, inverse = entry.genus, entry.spec, entry.inverse_spec
+    longer = (spec.images[0] * FreeWord.generator(g, 2 * g), *spec.images[1:])
+    swapped = (inverse.images[1], inverse.images[0], *inverse.images[2:])
+    return [entry._replace(inverse_spec=spec),
+            entry._replace(spec=EndomorphismSpec(g, longer)),
+            entry._replace(inverse_spec=EndomorphismSpec(g, swapped))]
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_one_composition_gives_the_two_sided_verdict(g, monkeypatch):
+    # Free groups of finite rank are Hopfian, so f o h = id iff h o f = id: the
+    # report equals that of a reference composing in both orders
+    module = importlib.import_module("jmrep.catalog")
+    composed = []
+    real_compose = module.endo_compose
+    monkeypatch.setattr(module, "endo_compose",
+                        lambda e1, e2: composed.append(1) or real_compose(e1, e2))
+    entries = [v for e in _entries(g) for v in (e, *_broken_variants(e))]
+    for n, entry in enumerate(entries):
+        failures = validate_entry(entry).failures
+        assert failures == ref_validate_failures(entry), entry
+        # every fourth entry is a generated one; the three after it are broken
+        assert ("inverse_spec o spec is not the identity" in failures) == (n % 4 != 0)
+    assert len(composed) == len(entries)
 
 
 def test_twist_b_entry_has_transvection_degree_two_value():
@@ -161,7 +193,14 @@ def test_entry_from_dict_rejects_malformed_documents():
         doc[key] = value
         with pytest.raises(ValueError):
             entry_from_dict(doc)
-    doc = dict(base)
-    del doc["images"]
-    with pytest.raises(KeyError):
-        entry_from_dict(doc)
+    # a missing field gets its field's type message, not a KeyError
+    for key, message in (
+        ("name", "entry name must be a nonempty string"),
+        ("images", "'images' must be an array of letter arrays"),
+        ("inverse_images", "'inverse_images' must be an array of letter arrays"),
+        ("claimed_handlebody", "claimed_handlebody must be a boolean"),
+    ):
+        doc = dict(base)
+        del doc[key]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            entry_from_dict(doc)

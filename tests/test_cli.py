@@ -240,6 +240,20 @@ def test_validate_entry_rejects_wrong_types(tmp_path, capsys, doc):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("field, message", [
+    ("name", "entry name must be a nonempty string"),
+    ("images", "'images' must be an array of letter arrays"),
+    ("inverse_images", "'inverse_images' must be an array of letter arrays"),
+    ("claimed_handlebody", "claimed_handlebody must be a boolean"),
+])
+def test_validate_entry_missing_field_exits_2_with_its_message(tmp_path, capsys, field,
+                                                              message):
+    doc = entry_to_dict(catalog(2)[0])
+    del doc[field]
+    code = main(["validate-entry", write_doc(tmp_path, "e.json", doc)])
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+
 def test_basis_lists_the_torelli_handlebody_generators(tmp_path, capsys):
     path = write_doc(tmp_path, "g.json", {"genus": 3})
     code, out = run(capsys, ["basis", path])
@@ -469,7 +483,8 @@ def _slots(holder):
 
 
 def _mutate(rng, doc, kind=None):
-    """A copy of doc with one wrong-typed node, missing field, bad genus or huge integer.
+    """A copy of doc with one wrong-typed node, missing field, bad genus, huge integer
+    or unknown field.
 
     The kind is drawn from the first three unless given."""
     holder = [json.loads(json.dumps(doc))]
@@ -481,6 +496,10 @@ def _mutate(rng, doc, kind=None):
         slots = [(c, k) for c, k in slots if type(c[k]) is int]
     elif kind == "missing_field":
         slots = [(c, k) for c, k in slots if isinstance(c, dict)] or slots
+    elif kind == "unknown_field":  # no schema has a field "note"
+        obj = rng.choice([c[k] for c, k in slots if isinstance(c[k], dict)])
+        obj["note"] = rng.choice(_OTHER_VALUES)
+        return holder[0]
     container, key = rng.choice(slots)
     if kind == "missing_field" and isinstance(container, list):
         kind = "wrong_type"  # an array has no field to drop
@@ -495,8 +514,9 @@ def _mutate(rng, doc, kind=None):
 def test_every_verb_keeps_the_exit_contract_on_mutated_documents(tmp_path, capsys):
     """Exit 0 or 1 with one canonical line, or exit 2 with an error and no output.
 
-    A huge integer anywhere in a document exits 2 for every verb."""
-    rng, huge_rng = random.Random(1100), random.Random(1101)
+    A huge integer anywhere in a document exits 2 for every verb.  An unknown
+    field in any object changes neither the exit code nor stdout."""
+    rng, huge_rng, note_rng = random.Random(1100), random.Random(1101), random.Random(1102)
     codes = {verb: set() for verb in VERBS}
 
     def call(verb, docs):
@@ -508,7 +528,7 @@ def test_every_verb_keeps_the_exit_contract_on_mutated_documents(tmp_path, capsy
             assert out == "" and err.startswith("error: "), (verb, docs)
         else:
             assert out == canonical_dumps(json.loads(out)) + "\n", (verb, docs)
-        return code
+        return code, out
 
     with address_space_cap():
         for round_ in range(6):
@@ -518,12 +538,19 @@ def test_every_verb_keeps_the_exit_contract_on_mutated_documents(tmp_path, capsy
                     for _ in range(rng.randint(1, 2)):
                         j = rng.randrange(len(docs))
                         docs[j] = _mutate(rng, docs[j])
-                    codes[verb].add(call(verb, docs))
+                    codes[verb].add(call(verb, docs)[0])
         for g in (1, 2, 3):
             for verb, docs in _valid_calls(huge_rng, g):
                 docs = list(docs)
                 j = huge_rng.randrange(len(docs))
                 docs[j] = _mutate(huge_rng, docs[j], "huge")
-                assert call(verb, docs) == 2, (verb, docs)
+                assert call(verb, docs)[0] == 2, (verb, docs)
+        for g in (1, 2, 3):
+            for verb, docs in _valid_calls(note_rng, g):
+                code, out = call(verb, docs)
+                assert code in (0, 1), (verb, docs)
+                j = note_rng.randrange(len(docs))
+                docs = [*docs[:j], _mutate(note_rng, docs[j], "unknown_field"), *docs[j + 1:]]
+                assert call(verb, docs) == (code, out), (verb, docs)
     assert all(2 in seen for seen in codes.values())
     assert any(seen & {0, 1} for seen in codes.values())

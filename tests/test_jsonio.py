@@ -122,6 +122,7 @@ def test_decoder_drops_repeated_index_terms():
         {"genus": 1, "coeffs": [1, 2, 3]},
         {"genus": 1, "coeffs": [1, "2"]},
         {"genus": 1, "coeffs": [1, True]},
+        {"genus": 1, "coeffs": "12"},
     ],
 )
 def test_decode_hvector_rejects_malformed(doc):
@@ -135,6 +136,12 @@ def test_decode_hvector_rejects_malformed(doc):
         {"genus": 1, "rows": [[1, 0], [0]]},
         {"genus": 1, "rows": [[1, 0]]},
         {"genus": 1, "rows": "ID"},
+        # rows that are not arrays, and entries that are not integers
+        {"genus": 1, "rows": [[1, 0], 7]},
+        {"genus": 1, "rows": [[1, 0], "01"]},
+        {"genus": 1, "rows": [[1, 0], {"0": 0, "1": 1}]},
+        {"genus": 1, "rows": [[1, 0], [0, True]]},
+        {"genus": 1, "rows": [[1, 0], [0, 1.0]]},
     ],
 )
 def test_decode_matrix_rejects_malformed(doc):
@@ -171,6 +178,9 @@ def test_decode_wedge3_rejects_malformed(doc):
         {"genus": 2, "letters": [5]},
         {"genus": 2, "letters": [1, -9]},
         {"genus": 2, "letters": 3},
+        {"genus": 2, "letters": "12"},
+        {"genus": 2, "letters": [1, True]},
+        {"genus": 2, "letters": [1.0]},
     ],
 )
 def test_decode_word_rejects_malformed(doc):

@@ -5,6 +5,7 @@ import pytest
 from jmrep import (
     EndomorphismSpec,
     FreeWord,
+    GenusMismatch,
     HomHW2,
     NotInWedge3,
     NotSymplectic,
@@ -268,7 +269,17 @@ def test_morita_difference_is_principal(seed):
 
 
 def test_rho2_element_genus_mismatch():
-    from jmrep import GenusMismatch
-
     with pytest.raises(GenusMismatch):
         Rho2Element(Wedge3.zero(2), SymplecticMatrix.identity(3))
+
+
+@pytest.mark.parametrize("g, h", [(1, 2), (2, 3), (3, 2)])
+def test_closed_operations_reject_mixed_genera(g, h):
+    # the first callee of each operation checks the genera, naming them in order
+    rng = random.Random(1800 + 10 * g + h)
+    f, f2 = rand_member(rng, g), rand_member(rng, h)
+    p, p2 = rand_phi2(rng, g), rand_phi2(rng, h)
+    for op, x, y in ((rho2_mul, f, f2), (act_on_phi2, f, p2), (phi2_mul, p, p2),
+                     (sp_action_on_hom, f.R, wedge3_embed(f2.r))):
+        with pytest.raises(GenusMismatch, match=f"^genus {g} vs {h}$"):
+            op(x, y)

@@ -4,8 +4,9 @@ validation.
 
 The first tests check that every such result is still in canonical form: it
 equals its copy rebuilt through the public constructor and holds no zero
-coefficient; the columns of a matrix equal zip(*rows).  The last one checks
-that the hot paths really skip validation.
+coefficient; the columns of a matrix equal zip(*rows).  The last two check
+that the hot paths really skip validation, and that the JSON decoders leave
+each entry to its public constructor, which checks it once.
 """
 
 import random
@@ -28,6 +29,7 @@ from jmrep import (
     compute_E,
     decode_hvector,
     decode_matrix,
+    decode_symplectic,
     decode_wedge2,
     decode_wedge3,
     decode_word,
@@ -180,9 +182,7 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
     e, e2 = catalog_specs(g)[:2]
     entry = next(x for x in catalog(g) if x.claimed_handlebody)
     real_symplectic_defect = linalg._symplectic_defect
-    docs = [(decode_wedge2, encode_wedge2(p.eta)), (decode_wedge3, encode_wedge3(f.r)),
-            (decode_word, encode_word(word)), (decode_hvector, encode_hvector(p.y)),
-            (decode_matrix, encode_matrix(f.R))]
+    docs = [(decode_wedge2, encode_wedge2(p.eta)), (decode_wedge3, encode_wedge3(f.r))]
     # unsorted and repeated indices, accepted and signed by the decoder
     docs.append((decode_wedge3, {"genus": g, "terms": [{"idx": [2, 1, 3], "twice": 4},
                                                        {"idx": [1, 1, 2], "twice": 1}]}))
@@ -219,3 +219,38 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
     monkeypatch.setattr(linalg, "_symplectic_defect", real_symplectic_defect)
     tau2_from_endo(e)
     assert validate_entry(entry).passed
+
+
+def test_decoders_validate_each_value_once(monkeypatch):
+    """decode_hvector, decode_matrix, decode_symplectic and decode_word check
+    only a document's shape; the constructor checks each vector, row, word and
+    M J M~ = J in one call."""
+    rng = random.Random(810)
+    g = 3
+    f = rand_member(rng, g)
+    p = rand_pi_point(rng, g)
+    word = rand_word(rng, g)
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(linalg, "_as_int_tuple")
+    counted(linalg, "_symplectic_defect")
+    counted(words, "_check_letters")
+    for decode, doc, want in [
+        (decode_hvector, encode_hvector(p.y), {"_as_int_tuple": 1}),
+        (decode_matrix, encode_matrix(f.R), {"_as_int_tuple": 2 * g}),
+        (decode_symplectic, encode_matrix(f.R), {"_as_int_tuple": 2 * g,
+                                                 "_symplectic_defect": 1}),
+        (decode_word, encode_word(word), {"_check_letters": 1}),
+    ]:
+        calls.clear()
+        decoded = decode(doc)
+        assert calls == want, decode.__name__
+        assert decoded == {decode_hvector: p.y, decode_word: word}.get(decode, f.R)

@@ -23,7 +23,12 @@ library from source.
 
 The output records each side's size: src_lines counts the lines of the
 package's .py files, package_data_lines those of its other files (bytecode
-aside).
+aside).  It also records each side's tier1_s, the best wall time of 3 runs of
+the Tier-1 command of ROADMAP.md (`python3 -m pytest -q
+--continue-on-collection-errors` with src/ on PYTHONPATH), made in the
+checkout with the same environment as the benchmark runs, before the first
+pair.  A side whose Tier-1 run fails stops the tool: its time would mean
+nothing.
 
 Each workload records the operations every run attempted, per side and in
 pair order (attempted_runs), next to their sums.  A side that completes more
@@ -60,10 +65,13 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 from statistics import quantiles
 
 RUN_TIMEOUT_S = 900
+TIER1_ARGS = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_RUNS = 3
 
 
 def pin_bytecode(checkout: Path) -> None:
@@ -90,6 +98,23 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
         raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited {res.returncode}:\n"
                            f"{res.stderr[-2000:]}")
     return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def tier1_s(checkout: Path) -> float:
+    """The best wall time, in seconds, of TIER1_RUNS runs of the Tier-1 command."""
+    env = run_env()
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ("src", env.get("PYTHONPATH"))))
+    argv = [sys.executable, *TIER1_ARGS]
+    times = []
+    for _ in range(TIER1_RUNS):
+        start = time.perf_counter()
+        res = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
+                             timeout=RUN_TIMEOUT_S)
+        times.append(time.perf_counter() - start)
+        if res.returncode != 0:
+            raise RuntimeError(f"{checkout}: Tier-1 exited {res.returncode}:\n"
+                               f"{res.stdout[-2000:]}")
+    return min(times)
 
 
 def _lines(paths) -> int:
@@ -208,6 +233,7 @@ def main(argv=None) -> int:
         "src_lines": {side: src_lines(path) for side, path in checkouts.items()},
         "package_data_lines": {side: package_data_lines(path)
                                for side, path in checkouts.items()},
+        "tier1_s": {side: round(tier1_s(path), 3) for side, path in checkouts.items()},
         "workloads": {},
     }
 
