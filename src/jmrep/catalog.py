@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import NotInWedge3, NotSymplectic
 from .jsonio import _genus_of, _require
-from .linalg import SymplecticMatrix, _require_symplectic
+from .linalg import symplectic_check
 from .membership import handlebody_membership, handlebody_sp_check
 from .rho2 import tau2_from_endo
 from .words import EndomorphismSpec, boundary_word, endo_apply, endo_compose
@@ -63,19 +63,16 @@ def validate_entry(entry: CatalogEntry) -> ValidationReport:
         failures += ["spec o inverse_spec is not the identity",
                      "inverse_spec o spec is not the identity"]
 
-    # abelianization() builds a trusted square int matrix: only check M J M~ = J
-    R = SymplecticMatrix._of(entry.spec.abelianization().rows)
-    try:
-        _require_symplectic(R)
-    except NotSymplectic:
-        R = None
+    R = entry.spec.abelianization()
+    symplectic = symplectic_check(R)
+    if not symplectic:
         failures.append("abelianization is not symplectic")
 
     bd = boundary_word(g)
     if endo_apply(entry.spec, bd) != bd:
         failures.append("boundary word is not fixed")
 
-    if entry.claimed_handlebody and R is not None:
+    if entry.claimed_handlebody and symplectic:
         if not handlebody_sp_check(R):
             failures.append("claimed handlebody but upper-right block is nonzero")
         else:

@@ -44,8 +44,7 @@ from .membership import (
     mcg_odd_triples,
     torelli_handlebody_basis,
 )
-from .phi2 import phi2_b_membership, phi2_inv, phi2_pi_membership
-from .phi2 import phi2_eval_word
+from .phi2 import phi2_b_membership, phi2_eval_word, phi2_inv, phi2_pi_membership
 from .rho2 import Rho2Element, act_on_phi2, rho2_inv, tau2_from_endo
 
 

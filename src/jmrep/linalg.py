@@ -26,6 +26,9 @@ E_ijk odd (membership._odd_E), which depends on a SymplecticMatrix alone, is
 computed once and kept, as a frozenset, in the matrix's private _memo; the
 exact map of membership.compute_E is not kept.  The memo takes no part in
 equality, hashing or repr.
+
+_check_genus, _check_operand, _check_index and _fmt_terms are the package's one
+genus check, operand check, basis-index check and term formatter.
 """
 
 from __future__ import annotations
@@ -45,10 +48,39 @@ def _as_int_tuple(values: Iterable) -> tuple:
     return tuple(out)
 
 
+def _check_index(i: int, genus: int) -> None:
+    """Raise ValueError unless i is an int in 1..2g (0 or -1 would index from the end)."""
+    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= 2 * genus:
+        raise ValueError(f"basis index {i} out of range for genus {genus}")
+
+
+def _check_genus(a, b) -> None:
+    """Raise GenusMismatch unless a and b have the same genus."""
+    if a.genus != b.genus:
+        raise GenusMismatch(f"genus {a.genus} vs {b.genus}")
+
+
+def _check_operand(a, b) -> None:
+    """Raise TypeError unless b has a's type, GenusMismatch unless the genera match."""
+    if not isinstance(b, type(a)):
+        raise TypeError(f"expected {type(a).__name__}, got {type(b).__name__}")
+    _check_genus(a, b)
+
+
+def _fmt_terms(terms) -> str:
+    """The (label, coefficient) pairs with nonzero coefficients as '+x', '-x',
+    '+c*x' or '-c*x', joined by spaces; '0' when there are none."""
+    parts = []
+    for label, c in terms:
+        if c:
+            size = "" if abs(c) == 1 else f"{abs(c)}*"
+            parts.append(f"{'+' if c > 0 else '-'}{size}{label}")
+    return " ".join(parts) or "0"
+
+
 def basis_label(i: int, genus: int) -> str:
     """Name of the basis vector x_i: 'a1'..'ag' then 'b1'..'bg'."""
-    if not 1 <= i <= 2 * genus:
-        raise ValueError(f"basis index {i} out of range for genus {genus}")
+    _check_index(i, genus)
     return f"a{i}" if i <= genus else f"b{i - genus}"
 
 
@@ -76,25 +108,18 @@ class HVector:
 
     def coeff(self, i: int) -> int:
         """Coordinate along x_i (1-based)."""
-        if not 1 <= i <= len(self.coeffs):
-            raise ValueError(f"index {i} out of range")
+        _check_index(i, self.genus)
         return self.coeffs[i - 1]
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def _check(self, other: "HVector") -> None:
-        if not isinstance(other, HVector):
-            raise TypeError(f"expected HVector, got {type(other).__name__}")
-        if other.genus != self.genus:
-            raise GenusMismatch(f"genus {self.genus} vs {other.genus}")
-
     def __add__(self, other: "HVector") -> "HVector":
-        self._check(other)
+        _check_operand(self, other)
         return HVector._of(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "HVector") -> "HVector":
-        self._check(other)
+        _check_operand(self, other)
         return HVector._of(tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "HVector":
@@ -113,19 +138,8 @@ class HVector:
 
     def __repr__(self) -> str:
         g = self.genus
-        terms = []
-        for i, c in enumerate(self.coeffs, start=1):
-            if c == 0:
-                continue
-            lbl = basis_label(i, g)
-            if c == 1:
-                terms.append(f"+{lbl}")
-            elif c == -1:
-                terms.append(f"-{lbl}")
-            else:
-                terms.append(f"{c:+d}*{lbl}")
-        body = " ".join(terms) if terms else "0"
-        return f"HVector({body})"
+        terms = ((basis_label(i, g), c) for i, c in enumerate(self.coeffs, start=1))
+        return f"HVector({_fmt_terms(terms)})"
 
 
 def zero_vector(genus: int) -> HVector:
@@ -134,8 +148,7 @@ def zero_vector(genus: int) -> HVector:
 
 def basis_vector(genus: int, i: int) -> HVector:
     """The basis vector x_i of H (1-based)."""
-    if not 1 <= i <= 2 * genus:
-        raise ValueError(f"basis index {i} out of range for genus {genus}")
+    _check_index(i, genus)
     return HVector._of(tuple(1 if k == i else 0 for k in range(1, 2 * genus + 1)))
 
 
@@ -190,9 +203,12 @@ class IntMatrix:
 
     def entry(self, i: int, j: int) -> int:
         """Entry in row i, column j (1-based)."""
+        _check_index(i, self.genus)
+        _check_index(j, self.genus)
         return self.rows[i - 1][j - 1]
 
     def col(self, j: int) -> tuple:
+        _check_index(j, self.genus)
         return self._cols()[j - 1]
 
     def column_vector(self, j: int) -> HVector:
@@ -218,8 +234,7 @@ class IntMatrix:
                 return SymplecticMatrix._of(rows)
             return IntMatrix._of(rows)
         if isinstance(other, HVector):
-            if other.genus != self.genus:
-                raise GenusMismatch(f"genus {self.genus} vs {other.genus}")
+            _check_genus(self, other)
             return HVector._of(
                 tuple(sum(map(mul, row, other.coeffs)) for row in self.rows)
             )
@@ -237,15 +252,10 @@ class IntMatrix:
 
 
 def make_J(genus: int) -> IntMatrix:
-    """The intersection-form matrix with g x g blocks (0 -I; I 0)."""
+    """The intersection-form matrix with g x g blocks (0 -I; I 0): row k is x_k~J."""
     if genus < 1:
         raise ValueError("genus must be >= 1")
-    n = 2 * genus
-    rows = [[0] * n for _ in range(n)]
-    for i in range(genus):
-        rows[i][i + genus] = -1
-        rows[i + genus][i] = 1
-    return IntMatrix(rows)
+    return IntMatrix(_vJ(row) for row in IntMatrix.identity(genus).rows)
 
 
 def _symplectic_defect(M: IntMatrix):
@@ -312,8 +322,7 @@ def _vJ(v: tuple) -> tuple:
 
 def pairing(u: HVector, v: HVector) -> int:
     """Intersection pairing <u, v> = v~ J u; <a_i, b_i> = +1."""
-    if u.genus != v.genus:
-        raise GenusMismatch(f"genus {u.genus} vs {v.genus}")
+    _check_genus(u, v)
     return sum(map(mul, _vJ(v.coeffs), u.coeffs))
 
 

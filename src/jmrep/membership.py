@@ -118,7 +118,7 @@ def handlebody_sp_check(R: SymplecticMatrix) -> bool:
     induced by a handlebody mapping class has this block shape.
     """
     g = R.genus
-    return all(R.entry(i, g + j) == 0 for i in range(1, g + 1) for j in range(1, g + 1))
+    return not any(any(row[g:]) for row in R.rows[:g])
 
 
 def handlebody_failures(f: Rho2Element) -> tuple:

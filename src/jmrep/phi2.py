@@ -20,10 +20,11 @@ coordinates) and reads eta off the accumulators once at the end.
 
 from __future__ import annotations
 
-from operator import add, sub
+from functools import cache
+from itertools import combinations, repeat, starmap
+from operator import add, mod, mul, sub
 
-from .errors import GenusMismatch
-from .linalg import HVector, zero_vector
+from .linalg import HVector, _check_genus, zero_vector
 from .wedge import Wedge2, half_wedge2_of
 from .words import FreeWord
 
@@ -36,8 +37,7 @@ class Phi2Element:
     def __init__(self, eta: Wedge2, y: HVector):
         if not isinstance(eta, Wedge2) or not isinstance(y, HVector):
             raise TypeError("Phi2Element needs (Wedge2, HVector)")
-        if eta.genus != y.genus:
-            raise GenusMismatch(f"genus {eta.genus} vs {y.genus}")
+        _check_genus(eta, y)
         self.eta = eta
         self.y = y
 
@@ -117,19 +117,24 @@ def phi2_eval_word(w: FreeWord) -> Phi2Element:
     return Phi2Element(Wedge2._of(g, eta), HVector._of(tuple(y)))
 
 
+_index_pairs = cache(lambda n: list(combinations(range(1, n + 1), 2)))  # i < j, in order
+
+
+def _residuals(p: Phi2Element):
+    """An iterator over the doubled x_i^x_j coefficient of eta minus l_i * l_j,
+    where y = sum l_i x_i, for the pairs i < j in the order of _index_pairs."""
+    l = p.y.coeffs
+    pairs = _index_pairs(len(l))
+    return map(sub, map(p.eta._twice.get, pairs, repeat(0)), starmap(mul, combinations(l, 2)))
+
+
 def phi2_pi_membership(p: Phi2Element) -> bool:
     """True iff (eta, y) is the phi_2-image of some word.
 
     Writing y = sum l_i x_i, the condition is that every doubled
     coefficient of eta is congruent to l_i * l_j mod 2.
     """
-    n = 2 * p.genus
-    l = p.y.coeffs
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (p.eta.twice(i, j) - l[i - 1] * l[j - 1]) % 2:
-                return False
-    return True
+    return not any(map(mod, _residuals(p), repeat(2)))  # stops at the first odd one
 
 
 def phi2_b_membership(p: Phi2Element) -> bool:
@@ -155,22 +160,18 @@ def phi2_word_synthesis(p: Phi2Element) -> FreeWord:
     central commutator corrections [xi_i, xi_j]^n_ij.  Raises ValueError
     when p fails phi2_pi_membership.
     """
-    n = 2 * p.genus
+    # the generator string contributes l_i l_j, so [xi_i, xi_j]^(d/2) makes up a
+    # residual d; every residual is read, and checked, before any letter is built
+    counts = [(i, j, d) for (i, j), d in zip(_index_pairs(2 * p.genus), _residuals(p)) if d]
+    if any(d % 2 for _, _, d in counts):
+        raise ValueError("element is not in the image of phi_2")
     l = p.y.coeffs
-    counts = []  # (i, j, n_ij), each residual read once, before any letter is built
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            # the generator string contributes l_i l_j in doubled units
-            diff = p.eta.twice(i, j) - l[i - 1] * l[j - 1]
-            if diff % 2:
-                raise ValueError("element is not in the image of phi_2")
-            counts.append((i, j, diff // 2))
     letters = []
     for i, li in enumerate(l, start=1):
         letters += [i if li > 0 else -i] * abs(li)
-    for i, j, count in counts:
-        if count > 0:
-            letters += [i, j, -i, -j] * count
-        elif count < 0:
-            letters += [j, i, -j, -i] * (-count)
+    for i, j, d in counts:
+        if d > 0:
+            letters += [i, j, -i, -j] * (d // 2)
+        else:
+            letters += [j, i, -j, -i] * (-d // 2)
     return FreeWord._of(p.genus, tuple(letters))

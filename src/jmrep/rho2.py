@@ -42,23 +42,24 @@ takes x_n to kappa of column n of R.
 
 from __future__ import annotations
 
-from .errors import GenusMismatch, NotSymplectic
-from .linalg import HVector, SymplecticMatrix, _require_symplectic, basis_vector
+from .errors import NotSymplectic
+from .linalg import SymplecticMatrix, _check_genus, _require_symplectic
 from .phi2 import Phi2Element, phi2_eval_word
 from .wedge import (
     HomHW2,
     Wedge2,
     Wedge3,
+    _add_kappa,
     _contract,
     _lambda2,
     _nonzero,
     _pair_minors,
+    _sort_signed,
     _upper,
     kappa,
     sp_action_on_hom,
     wedge3_decode,
     wedge3_embed,
-    wedge3_of,
     wedge3_sp_action,
 )
 from .words import EndomorphismSpec
@@ -74,8 +75,7 @@ class Rho2Element:
             raise TypeError("r must be a Wedge3")
         if not isinstance(R, SymplecticMatrix):
             raise TypeError("R must be a SymplecticMatrix")
-        if r.genus != R.genus:
-            raise GenusMismatch(f"genus {r.genus} vs {R.genus}")
+        _check_genus(r, R)
         self.r = r
         self.R = R
 
@@ -178,12 +178,7 @@ def tau2_from_endo(endo: EndomorphismSpec) -> Rho2Element:
         sign = -1 if n < g else 1
         for key, t in halves[n % g].items():
             acc[key] = acc.get(key, 0) + sign * t
-        for i in range(g):  # kappa(R x_n) has a_i^b_i coefficient (R x_n)_i - (R x_n)_(i+g)
-            t = col[i] - col[i + g]
-            if t:
-                key = (i + 1, i + g + 1)
-                acc[key] = acc.get(key, 0) + t
-        shifted.append(Wedge2._of(g, _nonzero(acc)))
+        shifted.append(Wedge2._of(g, _nonzero(_add_kappa(acc, col))))  # + kappa(R x_n)
     return Rho2Element(wedge3_decode(HomHW2(shifted).precompose(R.inverse())), R)
 
 
@@ -193,13 +188,15 @@ def principal_crossed_hom(m: HomHW2, R: SymplecticMatrix) -> HomHW2:
 
 
 def morita_shift(genus: int) -> Wedge3:
-    """The comparison element -(1/2) (sum_i a_i + b_i) ^ (sum_i a_i ^ b_i)."""
-    u = HVector((1,) * (2 * genus))
-    total = Wedge3.zero(genus)
+    """The comparison element -(1/2) (sum_i a_i + b_i) ^ (sum_i a_i ^ b_i): its
+    terms -(1/2) x_k^a_i^b_i (k not i, i+g) fall on distinct sorted triples."""
+    out = {}
     for i in range(1, genus + 1):
-        total = total + wedge3_of(u, basis_vector(genus, i), basis_vector(genus, i + genus))
-    # total is integral with doubled values 2*c; the shift has doubled values -c
-    return Wedge3(genus, {t: -(c // 2) for t, c in total.terms()})
+        for k in range(1, 2 * genus + 1):
+            if k not in (i, i + genus):
+                sign, key = _sort_signed((k, i, i + genus))
+                out[key] = -sign
+    return Wedge3(genus, out)
 
 
 def morita_tau2_prime(f: Rho2Element) -> HomHW2:

@@ -31,6 +31,10 @@ R acts on W2(H) by Lambda^2 R in a dense upper-triangular array, which one
 loop adds a contraction r(v) into and one helper reads out.  On W3(H) it packs
 vectors into big ints of fixed-width fields (Kronecker substitution), so each
 Lambda^2 block and each row of the result is a few integer products.
+
+Genera, operands, basis indices and reprs go through linalg's _check_genus,
+_check_operand, _check_index and _fmt_terms; _add_kappa is kappa's rule for
+rho2 as well.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ from .linalg import (
     HVector,
     IntMatrix,
     SymplecticMatrix,
+    _check_genus,
+    _check_index,
+    _check_operand,
+    _fmt_terms,
     _vJ,
     basis_label,
     basis_vector,
@@ -56,20 +64,12 @@ _STEP = 1 if byteorder == "little" else -1
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _fmt_terms(twice_map, genus):
+def _fmt_twice(twice_map, genus):
+    """linalg._fmt_terms of the terms x_i^x_j(^x_k) with coefficients t/2."""
     from fractions import Fraction  # only repr needs it; keeps it out of start-up
 
-    parts = []
-    for idx, t in sorted(twice_map.items()):
-        mono = "^".join(basis_label(i, genus) for i in idx)
-        coeff = Fraction(t, 2)
-        if coeff == 1:
-            parts.append(f"+{mono}")
-        elif coeff == -1:
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{'+' if coeff > 0 else '-'}{abs(coeff)}*{mono}")
-    return " ".join(parts) if parts else "0"
+    return _fmt_terms(("^".join(basis_label(i, genus) for i in idx), Fraction(t, 2))
+                      for idx, t in sorted(twice_map.items()))
 
 
 def _nonzero(twice: dict) -> dict:
@@ -156,25 +156,16 @@ class _Wedge:
         """True iff every coefficient is an integer (all doubled values even)."""
         return all(t % 2 == 0 for t in self._twice.values())
 
-    def _check(self, other):
-        if not isinstance(other, type(self)):
-            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
-        if other.genus != self.genus:
-            raise GenusMismatch(f"genus {self.genus} vs {other.genus}")
-
     def __add__(self, other):
-        self._check(other)
+        _check_operand(self, other)
         out = dict(self._twice)
         for k, t in other._twice.items():
             out[k] = out.get(k, 0) + t
         return self._of(self.genus, _nonzero(out))
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self._twice)
-        for k, t in other._twice.items():
-            out[k] = out.get(k, 0) - t
-        return self._of(self.genus, _nonzero(out))
+        _check_operand(self, other)  # before negating, so a foreign operand gets its TypeError
+        return self + -other
 
     def __neg__(self):
         return self._of(self.genus, {k: -t for k, t in self._twice.items()})
@@ -197,7 +188,7 @@ class _Wedge:
         return hash((type(self).__name__, self.genus, frozenset(self._twice.items())))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(g={self.genus}: {_fmt_terms(self._twice, self.genus)})"
+        return f"{type(self).__name__}(g={self.genus}: {_fmt_twice(self._twice, self.genus)})"
 
 
 class Wedge2(_Wedge):
@@ -216,8 +207,7 @@ class Wedge3(_Wedge):
 
 def half_wedge2_of(u: HVector, v: HVector) -> Wedge2:
     """(1/2) u ^ v, the correction term of the two-step nilpotent product."""
-    if u.genus != v.genus:
-        raise GenusMismatch(f"genus {u.genus} vs {v.genus}")
+    _check_genus(u, v)
     return Wedge2._of(u.genus, _pair_minors(u.coeffs, v.coeffs))
 
 
@@ -258,13 +248,19 @@ def kappa(y: HVector) -> Wedge2:
     kappa is linear with kappa(a_i) = (1/2) a_i^b_i and
     kappa(b_i) = -(1/2) a_i^b_i, i.e. kappa(x_i) = (1/2) x_i ^ C x_i.
     """
-    g = y.genus
-    out = {}
+    return Wedge2._of(y.genus, _add_kappa({}, y.coeffs))
+
+
+def _add_kappa(acc: dict, y: tuple) -> dict:
+    """Add kappa(y) into the doubled coefficients acc and return acc: the
+    a_i^b_i coefficient of kappa(y) is y_i - y_(i+g), with y a coordinate tuple."""
+    g = len(y) // 2
     for i in range(g):
-        t = y.coeffs[i] - y.coeffs[i + g]
+        t = y[i] - y[i + g]
         if t:
-            out[(i + 1, i + 1 + g)] = t
-    return Wedge2._of(g, out)
+            key = (i + 1, i + 1 + g)
+            acc[key] = acc.get(key, 0) + t
+    return acc
 
 
 class HomHW2:
@@ -288,12 +284,12 @@ class HomHW2:
 
     def image_of(self, n: int) -> Wedge2:
         """Value at the basis vector x_n (1-based)."""
+        _check_index(n, self.genus)
         return self.images[n - 1]
 
     def precompose(self, M: IntMatrix) -> "HomHW2":
         """The homomorphism m o M, i.e. x_n -> m(M x_n)."""
-        if M.genus != self.genus:
-            raise GenusMismatch(f"genus {self.genus} vs {M.genus}")
+        _check_genus(self, M)
         new = []
         for col in M._cols():
             acc = {}
@@ -304,18 +300,12 @@ class HomHW2:
             new.append(Wedge2._of(self.genus, _nonzero(acc)))
         return HomHW2(new)
 
-    def _check(self, other):
-        if not isinstance(other, HomHW2):
-            raise TypeError(f"expected HomHW2, got {type(other).__name__}")
-        if other.genus != self.genus:
-            raise GenusMismatch(f"genus {self.genus} vs {other.genus}")
-
     def __add__(self, other: "HomHW2") -> "HomHW2":
-        self._check(other)
+        _check_operand(self, other)
         return HomHW2(a + b for a, b in zip(self.images, other.images))
 
     def __sub__(self, other: "HomHW2") -> "HomHW2":
-        self._check(other)
+        _check_operand(self, other)
         return HomHW2(a - b for a, b in zip(self.images, other.images))
 
     def __neg__(self) -> "HomHW2":
@@ -337,7 +327,7 @@ class HomHW2:
     def __repr__(self) -> str:
         g = self.genus
         body = ", ".join(
-            f"{basis_label(i + 1, g)} -> {_fmt_terms(w._twice, g)}"
+            f"{basis_label(i + 1, g)} -> {_fmt_twice(w._twice, g)}"
             for i, w in enumerate(self.images)
         )
         return f"HomHW2({body})"
@@ -376,8 +366,7 @@ _pairs = cache(lambda n: list(product(range(1, n + 1), repeat=2)))  # of n x n, 
 
 def wedge3_apply(r: Wedge3, v: HVector) -> Wedge2:
     """Evaluate the homomorphism induced by r in W3(H) at the vector v."""
-    if r.genus != v.genus:
-        raise GenusMismatch(f"genus {r.genus} vs {v.genus}")
+    _check_genus(r, v)
     A = [[0] * len(v.coeffs) for _ in v.coeffs]
     return Wedge2._of(r.genus, _upper(_contract(r._twice, v.coeffs, A)))
 
@@ -435,8 +424,7 @@ def _lambda2(cols, terms):
 
 def wedge2_sp_action(R: IntMatrix, w: Wedge2) -> Wedge2:
     """R acting on W2(H): x_i ^ x_j -> (R x_i) ^ (R x_j), extended linearly."""
-    if R.genus != w.genus:
-        raise GenusMismatch(f"genus {R.genus} vs {w.genus}")
+    _check_genus(R, w)
     return Wedge2._of(w.genus, _upper(_lambda2(R._cols(), w._twice.items())))
 
 
@@ -465,8 +453,7 @@ def wedge3_sp_action(R: IntMatrix, r: Wedge3) -> Wedge3:
     host joins them last first and reads the words in reverse, so on either
     host the words run up from the lowest word of the first row.
     """
-    if R.genus != r.genus:
-        raise GenusMismatch(f"genus {R.genus} vs {r.genus}")
+    _check_genus(R, r)
     twice = r._twice
     if not twice:
         return Wedge3._of(r.genus, {})
@@ -541,7 +528,7 @@ def wedge3_decode(m: HomHW2) -> Wedge3:
     out = {}
     for k in range(1, 2 * g + 1):
         n, sign = (k + g, -1) if k <= g else (k - g, 1)
-        for (i, j), t in m.image_of(n)._twice.items():
+        for (i, j), t in m.images[n - 1]._twice.items():
             if j < k:
                 out[(i, j, k)] = sign * t
     r = Wedge3._of(g, out)

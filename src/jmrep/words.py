@@ -28,7 +28,7 @@ from operator import add, neg
 from typing import Iterable
 
 from .errors import GenusMismatch, WordLengthExceeded
-from .linalg import HVector, IntMatrix
+from .linalg import HVector, IntMatrix, _check_genus, _check_operand
 
 
 def _check_letters(genus: int, letters) -> tuple:
@@ -71,15 +71,9 @@ class FreeWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def _check(self, other):
-        if not isinstance(other, FreeWord):
-            raise TypeError(f"expected FreeWord, got {type(other).__name__}")
-        if other.genus != self.genus:
-            raise GenusMismatch(f"genus {self.genus} vs {other.genus}")
-
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         """Concatenation (no reduction)."""
-        self._check(other)
+        _check_operand(self, other)
         return FreeWord._of(self.genus, self.letters + other.letters)
 
     def inverse(self) -> "FreeWord":
@@ -166,9 +160,7 @@ class EndomorphismSpec:
 
     def abelianization(self) -> IntMatrix:
         """The induced matrix on H; column n is the exponent sum of images[n]."""
-        cols = [w.abelianization().coeffs for w in self.images]
-        n = 2 * self.genus
-        return IntMatrix._of(tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)))
+        return IntMatrix._of(tuple(zip(*(w.abelianization().coeffs for w in self.images))))
 
     def is_identity(self) -> bool:
         return all(
@@ -207,8 +199,7 @@ def endo_apply(e: EndomorphismSpec, w: FreeWord, max_letters: int | None = None,
     negative indices.  endo_compose shares one table across its
     substitutions.
     """
-    if e.genus != w.genus:
-        raise GenusMismatch(f"genus {e.genus} vs {w.genus}")
+    _check_genus(e, w)
     table = [None] * (4 * e.genus + 1) if _table is None else _table
     stack = []
     for s in w.letters:
@@ -243,8 +234,7 @@ def endo_compose(e1: EndomorphismSpec, e2: EndomorphismSpec,
     that matrices act on column vectors on the left.  The 2g substitutions
     share one table of e1's reduced signed images.
     """
-    if e1.genus != e2.genus:
-        raise GenusMismatch(f"genus {e1.genus} vs {e2.genus}")
+    _check_genus(e1, e2)
     table = [None] * (4 * e1.genus + 1)
     return EndomorphismSpec(
         e1.genus,

@@ -36,6 +36,7 @@ from jmrep import (
     rho2_inv,
     tau2_from_endo,
     transvection,
+    wedge3_of,
     word_reduce,
 )
 
@@ -314,6 +315,17 @@ def ref_wedge3_sp_action(R, r):
                 key = (p + 1, q + 1, s + 1)
                 out[key] = out.get(key, 0) + t * d
     return Wedge3(r.genus, out)
+
+
+def ref_morita_shift(g):
+    """-(1/2) u ^ (sum_i a_i ^ b_i), u = sum_k x_k, as a sum of g wedge3_of
+    products that is then halved."""
+    u = HVector((1,) * (2 * g))
+    total = Wedge3.zero(g)
+    for i in range(1, g + 1):
+        total = total + wedge3_of(u, basis_vector(g, i), basis_vector(g, i + g))
+    # total is integral with doubled values 2*c; the shift has doubled values -c
+    return Wedge3(g, {t: -(c // 2) for t, c in total.terms()})
 
 
 def ref_symplectic_form(M):

@@ -44,6 +44,7 @@ from helpers import (
     rand_symplectic,
     rand_wedge3,
     rand_word,
+    ref_morita_shift,
 )
 
 
@@ -250,6 +251,11 @@ def test_morita_shift_frozen_value():
         ((1, 3, 4), -1),
         ((2, 3, 4), 1),
     )
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_morita_shift_closed_form_is_the_wedge_sum(g):
+    assert morita_shift(g) == ref_morita_shift(g)
 
 
 def test_morita_comparison_at_identity_fiber():

@@ -1,0 +1,140 @@
+"""The checks and the repr rule that every module shares (linalg._check_genus,
+_check_operand, _check_index and _fmt_terms), pinned by their exact messages
+and output, and a lint of the package's imports."""
+
+import ast
+import operator
+from pathlib import Path
+
+import pytest
+
+import jmrep
+from jmrep import (
+    EndomorphismSpec,
+    FreeWord,
+    GenusMismatch,
+    HomHW2,
+    HVector,
+    Phi2Element,
+    Rho2Element,
+    SymplecticMatrix,
+    Wedge2,
+    Wedge3,
+    basis_label,
+    basis_vector,
+    endo_apply,
+    endo_compose,
+    half_wedge2_of,
+    pairing,
+    transvection,
+    wedge2_sp_action,
+    wedge3_apply,
+    wedge3_sp_action,
+    zero_vector,
+)
+
+ZEROS = {
+    "HVector": zero_vector,
+    "Wedge2": Wedge2.zero,
+    "Wedge3": Wedge3.zero,
+    "HomHW2": HomHW2.zero,
+    "FreeWord": FreeWord.identity,
+}
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+@pytest.mark.parametrize("name, op", [
+    *((name, op) for name in ("HVector", "Wedge2", "Wedge3", "HomHW2") for op in "+-"),
+    ("FreeWord", "*"),
+])
+def test_binary_operations_check_their_operand(name, op):
+    make, apply = ZEROS[name], OPS[op]
+    foreign = FreeWord.identity(2) if name != "FreeWord" else zero_vector(2)
+    for other, got in ((3, "int"), ("x", "str"), (foreign, type(foreign).__name__)):
+        with pytest.raises(TypeError) as exc:
+            apply(make(2), other)
+        assert str(exc.value) == f"expected {name}, got {got}"
+    for g, h in ((2, 3), (3, 1)):
+        with pytest.raises(GenusMismatch) as exc:
+            apply(make(g), make(h))
+        assert str(exc.value) == f"genus {g} vs {h}"
+
+
+ident = SymplecticMatrix.identity
+GENUS_CHECKS = {  # (genus a, genus b) -> a call whose operands have those genera
+    "IntMatrix * HVector": lambda a, b: ident(a) * zero_vector(b),
+    "pairing": lambda a, b: pairing(zero_vector(a), zero_vector(b)),
+    "half_wedge2_of": lambda a, b: half_wedge2_of(zero_vector(a), zero_vector(b)),
+    "HomHW2.precompose": lambda a, b: HomHW2.zero(a).precompose(ident(b)),
+    "wedge3_apply": lambda a, b: wedge3_apply(Wedge3.zero(a), zero_vector(b)),
+    "wedge2_sp_action": lambda a, b: wedge2_sp_action(ident(a), Wedge2.zero(b)),
+    "wedge3_sp_action": lambda a, b: wedge3_sp_action(ident(a), Wedge3.zero(b)),
+    "endo_apply": lambda a, b: endo_apply(EndomorphismSpec.identity(a), FreeWord.identity(b)),
+    "endo_compose": lambda a, b: endo_compose(EndomorphismSpec.identity(a),
+                                              EndomorphismSpec.identity(b)),
+    "Phi2Element": lambda a, b: Phi2Element(Wedge2.zero(a), zero_vector(b)),
+    "Rho2Element": lambda a, b: Rho2Element(Wedge3.zero(a), ident(b)),
+}
+
+
+@pytest.mark.parametrize("name", GENUS_CHECKS)
+def test_mixed_genera_name_both_genera_in_order(name):
+    for g, h in ((2, 3), (3, 1)):
+        with pytest.raises(GenusMismatch) as exc:
+            GENUS_CHECKS[name](g, h)
+        assert str(exc.value) == f"genus {g} vs {h}"
+
+
+@pytest.mark.parametrize("value, text", [
+    (HVector((0, 1, -1, 2, -2, 3)), "HVector(+a2 -a3 +2*b1 -2*b2 +3*b3)"),
+    (HVector((0, 0)), "HVector(0)"),
+    (Wedge2(2, {(1, 2): 2, (1, 3): -2, (1, 4): 4, (2, 3): -4, (2, 4): 1, (3, 4): -1}),
+     "Wedge2(g=2: +a1^a2 -a1^b1 +2*a1^b2 -2*a2^b1 +1/2*a2^b2 -1/2*b1^b2)"),
+    (Wedge3(3, {(1, 2, 3): 3, (1, 2, 4): -3, (1, 5, 6): 1, (2, 3, 4): 0, (4, 5, 6): -2}),
+     "Wedge3(g=3: +3/2*a1^a2^a3 -3/2*a1^a2^b1 +1/2*a1^b2^b3 -b1^b2^b3)"),
+    (Wedge3.zero(1), "Wedge3(g=1: 0)"),
+    (HomHW2([Wedge2(2, {(1, 2): 1, (3, 4): -3}), Wedge2.zero(2), Wedge2(2, {(1, 4): -1}),
+             Wedge2(2, {(2, 3): 4, (2, 4): -2})]),
+     "HomHW2(a1 -> +1/2*a1^a2 -3/2*b1^b2, a2 -> 0, b1 -> -1/2*a1^b2, b2 -> +2*a2^b1 -a2^b2)"),
+])
+def test_repr_golden(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_basis_indices_outside_1_to_2g_raise(g):
+    R = transvection(basis_vector(g, 1))
+    m = HomHW2.zero(g)
+    v = basis_vector(g, 2 * g)
+    for i in (0, -1, 2 * g + 1, 1.5, True):
+        for call in (lambda: R.entry(i, 1), lambda: R.entry(1, i), lambda: R.col(i),
+                     lambda: R.column_vector(i), lambda: m.image_of(i), lambda: v.coeff(i),
+                     lambda: basis_label(i, g), lambda: basis_vector(g, i)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"basis index {i} out of range for genus {g}"
+    assert R.entry(2 * g, 2 * g) == R.rows[-1][-1] and R.col(2 * g) == R._cols()[-1]
+    assert m.image_of(2 * g) == m.images[-1] and v.coeff(2 * g) == 1
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module imports and never reads (from __future__ aside)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_has_an_unused_import():
+    # __init__.py imports names only to re-export them
+    modules = sorted(p for p in Path(jmrep.__file__).parent.glob("*.py")
+                     if p.name != "__init__.py")
+    assert len(modules) > 5
+    assert [u for p in modules for u in _unused_imports(p)] == []
