@@ -4,21 +4,18 @@ All documents carry an explicit "genus" field and all indices are 1-based.
 Encoders emit canonical form: sorted keys, strictly increasing index tuples,
 zero terms dropped.  Decoders check the shape of a document (an object, its
 fields, arrays, lengths tied to the genus) and the public constructors check
-the entries, once.  The wedge decoders sign and accumulate unsorted, repeated
-index tuples, which Wedge2/Wedge3 reject, so they check indices themselves and
-build through the trusted _of.  Anything off raises ValueError or a jmrep error
-(the CLI maps both to exit code 2).
+the entries, and that the genera of the parts agree, once.  Anything off
+raises ValueError or a jmrep error (the CLI maps both to exit code 2).
 """
 
 from __future__ import annotations
 
 import json
 
-from .errors import GenusMismatch
 from .linalg import HVector, IntMatrix, SymplecticMatrix
 from .phi2 import Phi2Element
 from .rho2 import Rho2Element
-from .wedge import Wedge2, Wedge3, _nonzero, _sort_signed
+from .wedge import Wedge2, Wedge3
 from .words import EndomorphismSpec, FreeWord
 
 
@@ -106,35 +103,27 @@ def encode_wedge3(r: Wedge3) -> dict:
     return _encode_wedge(r)
 
 
-def _decode_terms(doc, arity: int):
-    g = _genus_of(doc)
+def _decode_terms(doc):
+    """The (idx, twice) pairs of a wedge document, each term's shape checked as
+    the constructor reaches it (an int 'idx' would fail in tuple())."""
     terms = doc.get("terms")
     _require(isinstance(terms, list), "'terms' must be an array")
-    acc: dict = {}
-    for item in terms:
-        _require(isinstance(item, dict), "each term must be an object")
-        idx = item.get("idx")
-        _require(isinstance(idx, list), "'idx' must be an array")
-        _require(all(isinstance(i, int) and not isinstance(i, bool) for i in idx),
-                 "'idx' must contain only integers")
-        _require(len(idx) == arity, f"'idx' must have {arity} entries")
-        for i in idx:
-            _require(1 <= i <= 2 * g, "'idx' entries must lie in 1..2*genus")
-        t = item.get("twice")
-        _require(isinstance(t, int) and not isinstance(t, bool),
-                 "'twice' must be an integer")
-        sign, key = _sort_signed(tuple(idx))  # sign 0: a repeated index wedges to zero
-        if sign:
-            acc[key] = acc.get(key, 0) + sign * t
-    return g, _nonzero(acc)
+    return map(_decode_term, terms)
+
+
+def _decode_term(item):
+    _require(isinstance(item, dict), "each term must be an object")
+    idx = item.get("idx")
+    _require(isinstance(idx, list), "'idx' must be an array")
+    return idx, item.get("twice")
 
 
 def decode_wedge2(doc) -> Wedge2:
-    return Wedge2._of(*_decode_terms(doc, 2))
+    return Wedge2(_genus_of(doc), _decode_terms(doc))  # checks, sorts and signs each term
 
 
 def decode_wedge3(doc) -> Wedge3:
-    return Wedge3._of(*_decode_terms(doc, 3))
+    return Wedge3(_genus_of(doc), _decode_terms(doc))
 
 
 # ---------------------------------------------------------------- words
@@ -159,11 +148,7 @@ def encode_phi2(p: Phi2Element) -> dict:
 def decode_phi2(doc) -> Phi2Element:
     _require(isinstance(doc, dict) and "eta" in doc and "y" in doc,
              "expected an object with 'eta' and 'y'")
-    eta = decode_wedge2(doc["eta"])
-    y = decode_hvector(doc["y"])
-    if eta.genus != y.genus:
-        raise GenusMismatch("'eta' and 'y' disagree on genus")
-    return Phi2Element(eta, y)
+    return Phi2Element(decode_wedge2(doc["eta"]), decode_hvector(doc["y"]))  # checks genus
 
 
 def encode_rho2(f: Rho2Element) -> dict:
@@ -173,11 +158,7 @@ def encode_rho2(f: Rho2Element) -> dict:
 def decode_rho2(doc) -> Rho2Element:
     _require(isinstance(doc, dict) and "r" in doc and "R" in doc,
              "expected an object with 'r' and 'R'")
-    r = decode_wedge3(doc["r"])
-    R = decode_symplectic(doc["R"])
-    if r.genus != R.genus:
-        raise GenusMismatch("'r' and 'R' disagree on genus")
-    return Rho2Element(r, R)
+    return Rho2Element(decode_wedge3(doc["r"]), decode_symplectic(doc["R"]))  # checks genus
 
 
 # ---------------------------------------------------------------- endomorphisms
@@ -192,16 +173,9 @@ def decode_endo(doc) -> EndomorphismSpec:
     images = doc.get("images")
     _require(isinstance(images, list) and len(images) == 2 * g,
              "'images' must list 2*genus words")
-    words = []
-    for item in images:
-        if isinstance(item, dict):
-            w = decode_word(item)
-            if w.genus != g:
-                raise GenusMismatch("image word disagrees on genus")
-        else:
-            w = decode_word({"genus": g, "letters": item})
-        words.append(w)
-    return EndomorphismSpec(g, tuple(words))
+    words = [decode_word(item if isinstance(item, dict) else {"genus": g, "letters": item})
+             for item in images]
+    return EndomorphismSpec(g, words)  # checks that every word has genus g
 
 
 # ---------------------------------------------------------------- output

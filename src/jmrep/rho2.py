@@ -54,7 +54,6 @@ from .wedge import (
     _lambda2,
     _nonzero,
     _pair_minors,
-    _sort_signed,
     _upper,
     kappa,
     sp_action_on_hom,
@@ -188,15 +187,10 @@ def principal_crossed_hom(m: HomHW2, R: SymplecticMatrix) -> HomHW2:
 
 
 def morita_shift(genus: int) -> Wedge3:
-    """The comparison element -(1/2) (sum_i a_i + b_i) ^ (sum_i a_i ^ b_i): its
-    terms -(1/2) x_k^a_i^b_i (k not i, i+g) fall on distinct sorted triples."""
-    out = {}
-    for i in range(1, genus + 1):
-        for k in range(1, 2 * genus + 1):
-            if k not in (i, i + genus):
-                sign, key = _sort_signed((k, i, i + genus))
-                out[key] = -sign
-    return Wedge3(genus, out)
+    """The comparison element -(1/2) (sum_k x_k) ^ (sum_i a_i ^ b_i), term by term:
+    Wedge3 sorts and signs each x_k^a_i^b_i and drops those with k = i or i + g."""
+    return Wedge3(genus, [((k, i, i + genus), -1) for i in range(1, genus + 1)
+                          for k in range(1, 2 * genus + 1)])
 
 
 def morita_tau2_prime(f: Rho2Element) -> HomHW2:

@@ -7,8 +7,10 @@ convention), so all arithmetic stays in Z; a stored value t means the
 coefficient t/2.  In canonical form the keys are strictly increasing int
 tuples within 1..2g and every value is a nonzero int, so equality is plain
 structural equality.  The public constructors check and canonicalize their
-input; closed operations build their results through the unchecked
-_Wedge._of and must themselves drop the zeros that cancellation creates.
+input, the one place (JSON decoding included) that does: index tuples may come
+in any order, x_j^x_i = -x_i^x_j, and a repeated index gives 0.  Closed
+operations build their results through the unchecked _Wedge._of and must
+themselves drop the zeros that cancellation creates.
 
 The bridge between W3(H) and Hom(H, (1/2)W2(H)) is
 
@@ -88,6 +90,8 @@ def _sort_signed(idx: tuple):
 
 
 def _build_twice(genus, terms, arity):
+    """The canonical form of terms, (index tuple, t) pairs in a mapping or an
+    iterable: each tuple is checked, then signed by its sorting permutation."""
     n = 2 * genus
     if isinstance(terms, Mapping):
         items = terms.items()
@@ -98,14 +102,13 @@ def _build_twice(genus, terms, arity):
         idx = tuple(idx)
         if len(idx) != arity or any(isinstance(i, bool) or not isinstance(i, int) for i in idx):
             raise ValueError(f"bad index tuple {idx!r}")
-        if not all(1 <= i <= n for i in idx) or any(
-            idx[k] >= idx[k + 1] for k in range(arity - 1)
-        ):
-            raise ValueError(
-                f"index tuple {idx} must be strictly increasing within 1..{n}"
-            )
+        if not all(1 <= i <= n for i in idx):
+            raise ValueError(f"index tuple {idx} must lie within 1..{n}")
         if isinstance(t, bool) or not isinstance(t, int):
             raise ValueError(f"doubled coefficient must be an integer, got {t!r}")
+        if any(idx[k] >= idx[k + 1] for k in range(arity - 1)):
+            sign, idx = _sort_signed(idx)
+            t *= sign  # 0 when an index repeats
         if t:
             out[idx] = out.get(idx, 0) + t
     return _nonzero(out)
@@ -142,8 +145,12 @@ class _Wedge:
         return cls(genus, {idx: 2})
 
     def twice(self, *idx: int) -> int:
-        """Doubled coefficient of x_i ^ x_j (^ x_k), indices increasing."""
-        return self._twice.get(idx, 0)
+        """Doubled coefficient of x_i ^ x_j (^ x_k), indices in any order and
+        signed as the constructor signs them."""
+        for i in idx:
+            _check_index(i, self.genus)
+        unit = _build_twice(self.genus, ((idx, 1),), self.ARITY)  # {sorted idx: sign}
+        return sum(sign * self._twice.get(key, 0) for key, sign in unit.items())
 
     def terms(self):
         """Sorted tuple of (index tuple, doubled coefficient), zero terms omitted."""
@@ -192,14 +199,18 @@ class _Wedge:
 
 
 class Wedge2(_Wedge):
-    """Element of (1/2)W2(H): sparse map from pairs (i<j) to doubled coefficients."""
+    """Element of (1/2)W2(H): sparse map from pairs (i<j) to doubled coefficients.
+
+    Wedge2(g, terms) takes pairs in any order and stores them sorted and signed."""
 
     __slots__ = ()
     ARITY = 2
 
 
 class Wedge3(_Wedge):
-    """Element of (1/2)W3(H): sparse map from triples (i<j<k) to doubled coefficients."""
+    """Element of (1/2)W3(H): sparse map from triples (i<j<k) to doubled coefficients.
+
+    Wedge3(g, terms) takes triples in any order and stores them sorted and signed."""
 
     __slots__ = ()
     ARITY = 3

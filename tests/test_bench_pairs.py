@@ -139,21 +139,24 @@ def _stub_tier1(monkeypatch, walls, returncode=0):
 
 def test_tier1_s_is_the_best_of_three_runs_of_the_tier1_command(tmp_path, monkeypatch):
     monkeypatch.setenv("PYTHONPATH", "elsewhere")
-    calls = _stub_tier1(monkeypatch, [12.5, 11.0, 14.0])
-    assert bench_pairs.tier1_s(tmp_path) == 11.0
-    assert len(calls) == 3
+    checkouts = {side: tmp_path / side for side in ("parent", "change")}
+    # the sides alternate: parent, change, change, parent, parent, change
+    calls = _stub_tier1(monkeypatch, [12.5, 9.5, 9.0, 11.0, 14.0, 10.0])
+    assert bench_pairs.tier1_s(checkouts) == {"parent": 11.0, "change": 9.0}
+    assert [kwargs["cwd"].name for _, kwargs in calls] == [
+        "parent", "change", "change", "parent", "parent", "change"]
     for argv, kwargs in calls:
         assert argv[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-        assert kwargs["cwd"] == tmp_path
         env = kwargs["env"]
         assert env["PYTHONPATH"].split(os.pathsep) == ["src", "elsewhere"]
         assert env["PYTHONDONTWRITEBYTECODE"] == "1"
 
 
 def test_a_failing_tier1_run_stops_the_tool(tmp_path, monkeypatch):
-    _stub_tier1(monkeypatch, [1.0], returncode=1)
+    calls = _stub_tier1(monkeypatch, [1.0], returncode=1)
     with pytest.raises(RuntimeError, match="Tier-1 exited 1"):
-        bench_pairs.tier1_s(tmp_path)
+        bench_pairs.tier1_s({"parent": tmp_path, "change": tmp_path})
+    assert len(calls) == 1
 
 
 def test_main_records_tier1_s_for_each_side(tmp_path, monkeypatch):
@@ -166,7 +169,8 @@ def test_main_records_tier1_s_for_each_side(tmp_path, monkeypatch):
         "run_seconds": 1, "workloads": [{"name": "represent"}],
         "end_to_end": [{"name": "ops_per_s", "unit": "1/s", "better": "higher",
                         "bound": 0.25}]}))
-    monkeypatch.setattr(bench_pairs, "tier1_s", lambda checkout: walls[checkout.name])
+    monkeypatch.setattr(bench_pairs, "tier1_s",
+                        lambda checkouts: {side: walls[p.name] for side, p in checkouts.items()})
     monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: {
         "failed": 0, "attempted": 10, "metrics": {"ops_per_s": {"value": 5.0}}})
     out = tmp_path / "BENCH.json"

@@ -106,15 +106,18 @@ def test_basis_indices_outside_1_to_2g_raise(g):
     R = transvection(basis_vector(g, 1))
     m = HomHW2.zero(g)
     v = basis_vector(g, 2 * g)
+    w, r = Wedge2.basis(g, 1, 2), Wedge3.zero(g)
     for i in (0, -1, 2 * g + 1, 1.5, True):
         for call in (lambda: R.entry(i, 1), lambda: R.entry(1, i), lambda: R.col(i),
                      lambda: R.column_vector(i), lambda: m.image_of(i), lambda: v.coeff(i),
-                     lambda: basis_label(i, g), lambda: basis_vector(g, i)):
+                     lambda: basis_label(i, g), lambda: basis_vector(g, i),
+                     lambda: w.twice(i, 1), lambda: w.twice(2, i), lambda: r.twice(1, i, 2)):
             with pytest.raises(ValueError) as exc:
                 call()
             assert str(exc.value) == f"basis index {i} out of range for genus {g}"
     assert R.entry(2 * g, 2 * g) == R.rows[-1][-1] and R.col(2 * g) == R._cols()[-1]
     assert m.image_of(2 * g) == m.images[-1] and v.coeff(2 * g) == 1
+    assert w.twice(1, 2) == 2 and w.twice(2, 1) == -2
 
 
 def _unused_imports(path: Path) -> list:

@@ -4,37 +4,52 @@ validation.
 
 The first tests check that every such result is still in canonical form: it
 equals its copy rebuilt through the public constructor and holds no zero
-coefficient; the columns of a matrix equal zip(*rows).  The last two check
-that the hot paths really skip validation, and that the JSON decoders leave
-each entry to its public constructor, which checks it once.
+coefficient; the columns of a matrix equal zip(*rows).  The last three check
+that the hot paths really skip validation, that the JSON decoders leave each
+entry to its public constructor, which checks it once, and that they leave
+genus agreement to the constructor of the pair or endomorphism.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
+import jmrep.jsonio as jsonio
 import jmrep.linalg as linalg
 import jmrep.wedge as wedge
 import jmrep.words as words
 from jmrep import (
+    EndomorphismSpec,
+    FreeWord,
+    GenusMismatch,
     HomHW2,
     HVector,
     IntMatrix,
+    Phi2Element,
+    Rho2Element,
     SymplecticMatrix,
+    Wedge2,
     Wedge3,
     act_on_phi2,
     boundary_word,
     canonical_lift,
     catalog,
     compute_E,
+    decode_endo,
     decode_hvector,
     decode_matrix,
+    decode_phi2,
+    decode_rho2,
     decode_symplectic,
     decode_wedge2,
     decode_wedge3,
     decode_word,
+    encode_endo,
     encode_hvector,
     encode_matrix,
+    encode_phi2,
+    encode_rho2,
     encode_wedge2,
     encode_wedge3,
     encode_word,
@@ -43,6 +58,7 @@ from jmrep import (
     handlebody_membership,
     half_wedge2_of,
     kappa,
+    make_J,
     mcg_membership,
     phi2_eval_word,
     preserves_phi2_b,
@@ -59,6 +75,7 @@ from jmrep import (
     wedge3_embed,
     wedge3_sp_action,
     word_reduce,
+    zero_vector,
 )
 from helpers import (
     catalog_specs,
@@ -182,10 +199,6 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
     e, e2 = catalog_specs(g)[:2]
     entry = next(x for x in catalog(g) if x.claimed_handlebody)
     real_symplectic_defect = linalg._symplectic_defect
-    docs = [(decode_wedge2, encode_wedge2(p.eta)), (decode_wedge3, encode_wedge3(f.r))]
-    # unsorted and repeated indices, accepted and signed by the decoder
-    docs.append((decode_wedge3, {"genus": g, "terms": [{"idx": [2, 1, 3], "twice": 4},
-                                                       {"idx": [1, 1, 2], "twice": 1}]}))
 
     def refuse(*args):
         raise AssertionError("validation ran inside a closed operation")
@@ -210,9 +223,6 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
     assert word_reduce(word * word.inverse()).letters == ()
     (word * word).reduced()
     boundary_word(g)
-    for decode, doc in docs:
-        decode(doc)
-    assert decode_wedge3(docs[-1][1]).terms() == (((1, 2, 3), -4),)
 
     # R computed from words must still pass M J M~ = J, but its integers,
     # computed by the words layer, are not checked again
@@ -222,14 +232,15 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
 
 
 def test_decoders_validate_each_value_once(monkeypatch):
-    """decode_hvector, decode_matrix, decode_symplectic and decode_word check
-    only a document's shape; the constructor checks each vector, row, word and
-    M J M~ = J in one call."""
+    """The decoders check only a document's shape; the constructor checks each
+    vector, row, word, wedge document and M J M~ = J in one call, and the
+    constructor of a pair or an endomorphism checks that the genera agree."""
     rng = random.Random(810)
     g = 3
     f = rand_member(rng, g)
     p = rand_pi_point(rng, g)
     word = rand_word(rng, g)
+    e = catalog_specs(g)[0]
     calls = {}
 
     def counted(module, name):
@@ -243,14 +254,42 @@ def test_decoders_validate_each_value_once(monkeypatch):
     counted(linalg, "_as_int_tuple")
     counted(linalg, "_symplectic_defect")
     counted(words, "_check_letters")
-    for decode, doc, want in [
-        (decode_hvector, encode_hvector(p.y), {"_as_int_tuple": 1}),
-        (decode_matrix, encode_matrix(f.R), {"_as_int_tuple": 2 * g}),
+    counted(wedge, "_build_twice")
+    unsorted = {"genus": g, "terms": [{"idx": [2, 1, 3], "twice": 4},
+                                      {"idx": [1, 1, 2], "twice": 1}]}
+    for decode, doc, want, value in [
+        (decode_hvector, encode_hvector(p.y), {"_as_int_tuple": 1}, p.y),
+        (decode_matrix, encode_matrix(f.R), {"_as_int_tuple": 2 * g}, f.R),
         (decode_symplectic, encode_matrix(f.R), {"_as_int_tuple": 2 * g,
-                                                 "_symplectic_defect": 1}),
-        (decode_word, encode_word(word), {"_check_letters": 1}),
+                                                 "_symplectic_defect": 1}, f.R),
+        (decode_word, encode_word(word), {"_check_letters": 1}, word),
+        (decode_wedge2, encode_wedge2(p.eta), {"_build_twice": 1}, p.eta),
+        (decode_wedge3, encode_wedge3(f.r), {"_build_twice": 1}, f.r),
+        # unsorted and repeated indices, signed by the constructor
+        (decode_wedge3, unsorted, {"_build_twice": 1}, Wedge3(g, {(1, 2, 3): -4})),
+        (decode_phi2, encode_phi2(p), {"_build_twice": 1, "_as_int_tuple": 1}, p),
+        (decode_rho2, encode_rho2(f), {"_build_twice": 1, "_as_int_tuple": 2 * g,
+                                       "_symplectic_defect": 1}, f),
+        (decode_endo, encode_endo(e), {"_check_letters": 2 * g}, e),
     ]:
         calls.clear()
         decoded = decode(doc)
         assert calls == want, decode.__name__
-        assert decoded == {decode_hvector: p.y, decode_word: word}.get(decode, f.R)
+        assert decoded == value
+
+
+@pytest.mark.parametrize("decode, doc, build", [
+    (decode_phi2, {"eta": encode_wedge2(Wedge2.zero(2)), "y": encode_hvector(zero_vector(3))},
+     lambda: Phi2Element(Wedge2.zero(2), zero_vector(3))),
+    (decode_rho2, {"r": encode_wedge3(Wedge3.zero(3)), "R": encode_matrix(make_J(2))},
+     lambda: Rho2Element(Wedge3.zero(3), SymplecticMatrix(make_J(2).rows))),
+    (decode_endo, {"genus": 1, "images": [{"genus": 2, "letters": [1]}, [2]]},
+     lambda: EndomorphismSpec(1, (FreeWord(2, [1]), FreeWord(1, [2])))),
+])
+def test_constructors_check_genus_agreement_for_the_decoders(decode, doc, build):
+    with pytest.raises(GenusMismatch) as got:
+        decode(doc)
+    with pytest.raises(GenusMismatch) as want:
+        build()
+    assert str(got.value) == str(want.value)
+    assert got.traceback[-1].path != Path(jsonio.__file__)

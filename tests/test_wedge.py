@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from jmrep import (
     Wedge3,
     basis_label,
     basis_vector,
+    decode_wedge2,
+    decode_wedge3,
     kappa,
     kappa_hom,
     sp_action_on_hom,
@@ -55,11 +58,44 @@ def test_wedge2_and_wedge3_are_distinct_types():
 
 def test_wedge2_rejects_bad_indices():
     with pytest.raises(ValueError):
-        Wedge2(2, {(3, 1): 2})
-    with pytest.raises(ValueError):
         Wedge2(2, {(1, 5): 2})
-    with pytest.raises(ValueError):
-        Wedge2(2, {(2, 1): 2})
+    # out of order is not bad: x_j ^ x_i = -x_i ^ x_j
+    assert Wedge2(2, {(3, 1): 2}) == Wedge2(2, {(1, 3): -2})
+    assert Wedge2(2, {(2, 1): 2}) == -Wedge2.basis(2, 1, 2) == Wedge2.basis(2, 2, 1)
+
+
+def _perm_sign(idx):
+    """The sign of the permutation sorting idx, 0 on a repeat: the sign of the
+    Vandermonde product of idx."""
+    d = math.prod(b - a for a, b in itertools.combinations(idx, 2))
+    return (d > 0) - (d < 0)
+
+
+@pytest.mark.parametrize("cls", [Wedge2, Wedge3])
+@pytest.mark.parametrize("g", range(1, 5))
+def test_constructor_decoder_and_twice_share_one_sign_rule(cls, g):
+    decode = {Wedge2: decode_wedge2, Wedge3: decode_wedge3}[cls]
+    for idx in itertools.product(range(1, 2 * g + 1), repeat=cls.ARITY):
+        key, sign = tuple(sorted(idx)), _perm_sign(idx)
+        t = 2 * idx[0] - 3  # odd and nonzero
+        w = cls(g, {idx: t})
+        assert decode({"genus": g, "terms": [{"idx": list(idx), "twice": t}]}) == w
+        assert w.terms() == (((key, sign * t),) if sign else ())
+        # sorted, reading any order of the key gives the same signed coefficient
+        assert cls(g, {key: t}).twice(*idx) == sign * t
+        # and the terms of one element add up, a pair with its swap cancelling
+        assert cls(g, [(idx, t), (key, -sign * t)]).is_zero()
+
+
+def test_twice_checks_arity_and_indices():
+    r = Wedge3.basis(2, 1, 2, 3)
+    assert r.twice(2, 1, 3) == -2 and r.twice(3, 1, 2) == 2 and r.twice(1, 1, 2) == 0
+    for bad in [(1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError, match="bad index tuple"):
+            r.twice(*bad)
+    for bad in [(0, 1, 2), (True, 2, 3), (1, 2, 5)]:
+        with pytest.raises(ValueError, match="out of range for genus 2"):
+            r.twice(*bad)
 
 
 @pytest.mark.parametrize("make", [

@@ -10,7 +10,7 @@ default to those of the change's BENCHMARK.json, and T is its run_seconds.
 For workload number w in --workloads (counting from 0), pair k runs
 `python3 bench/run.py --workload W --seed S --seconds T --trace 0` with
 S = first_seed + 1000 * w + k in both checkouts, the parent first when k is
-even and the change first when k is odd.
+even and the change first when k is odd (order(k)).
 
 Bytecode is pinned per side: before the first run, each checkout's src/ and
 bench/ are compiled once with compileall, beside their sources, and every run
@@ -27,8 +27,9 @@ aside).  It also records each side's tier1_s, the best wall time of 3 runs of
 the Tier-1 command of ROADMAP.md (`python3 -m pytest -q
 --continue-on-collection-errors` with src/ on PYTHONPATH), made in the
 checkout with the same environment as the benchmark runs, before the first
-pair.  A side whose Tier-1 run fails stops the tool: its time would mean
-nothing.
+pair.  The sides alternate as in the pairs (parent, change, change, parent,
+parent, change), so drift of the host does not fall on one side.  A side
+whose Tier-1 run fails stops the tool: its time would mean nothing.
 
 Each workload records the operations every run attempted, per side and in
 pair order (attempted_runs), next to their sums.  A side that completes more
@@ -100,21 +101,33 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return json.loads(res.stdout.strip().splitlines()[-1])
 
 
-def tier1_s(checkout: Path) -> float:
-    """The best wall time, in seconds, of TIER1_RUNS runs of the Tier-1 command."""
+def order(k: int) -> tuple:
+    """The sides in the order in which pair (or Tier-1 round) k runs them."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
+
+
+def tier1_run(checkout: Path) -> float:
+    """The wall time, in seconds, of one run of the Tier-1 command."""
     env = run_env()
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ("src", env.get("PYTHONPATH"))))
-    argv = [sys.executable, *TIER1_ARGS]
-    times = []
-    for _ in range(TIER1_RUNS):
-        start = time.perf_counter()
-        res = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
-                             timeout=RUN_TIMEOUT_S)
-        times.append(time.perf_counter() - start)
-        if res.returncode != 0:
-            raise RuntimeError(f"{checkout}: Tier-1 exited {res.returncode}:\n"
-                               f"{res.stdout[-2000:]}")
-    return min(times)
+    start = time.perf_counter()
+    res = subprocess.run([sys.executable, *TIER1_ARGS], cwd=checkout, env=env,
+                         capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    wall = time.perf_counter() - start
+    if res.returncode != 0:
+        raise RuntimeError(f"{checkout}: Tier-1 exited {res.returncode}:\n"
+                           f"{res.stdout[-2000:]}")
+    return wall
+
+
+def tier1_s(checkouts: dict) -> dict:
+    """Each side's best wall time of TIER1_RUNS runs of the Tier-1 command, the
+    sides alternating round by round as in the pairs."""
+    times = {side: [] for side in checkouts}
+    for k in range(TIER1_RUNS):
+        for side in order(k):
+            times[side].append(tier1_run(checkouts[side]))
+    return {side: min(walls) for side, walls in times.items()}
 
 
 def _lines(paths) -> int:
@@ -233,7 +246,7 @@ def main(argv=None) -> int:
         "src_lines": {side: src_lines(path) for side, path in checkouts.items()},
         "package_data_lines": {side: package_data_lines(path)
                                for side, path in checkouts.items()},
-        "tier1_s": {side: round(tier1_s(path), 3) for side, path in checkouts.items()},
+        "tier1_s": {side: round(wall, 3) for side, wall in tier1_s(checkouts).items()},
         "workloads": {},
     }
 
@@ -248,9 +261,8 @@ def main(argv=None) -> int:
         runs = []
         for k in range(args.pairs):
             seed = args.first_seed + 1000 * w + k
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             got = {}
-            for side in order:
+            for side in order(k):
                 got[side] = run_bench(checkouts[side], workload, seed, seconds, 0)
                 ops = got[side]["metrics"]["ops_per_s"]["value"]
                 print(f"{workload} seed {seed} {side}: ops_per_s {ops:.2f}, "
