@@ -22,10 +22,10 @@ with J_ab for a < b, and the inverse of M = (S T; P Q) in g x g blocks is
 (Q~ -T~; -P~ S~).
 
 Rows are never reassigned after construction, so the set of triples with
-E_ijk odd (membership._odd_E), which depends on a SymplecticMatrix alone, is
-computed once and kept, as a frozenset, in the matrix's private _memo; the
-exact map of membership.compute_E is not kept.  The memo takes no part in
-equality, hashing or repr.
+E_ijk odd, which depends on a SymplecticMatrix alone, is computed once by
+membership._odd_E and kept, as a frozenset, in the matrix's private slot
+_odd_E (None until then); the exact map of membership.compute_E is not kept.
+The slot takes no part in equality, hashing or repr.
 
 _check_genus, _check_operand, _check_index and _fmt_terms are the package's one
 genus check, operand check, basis-index check and term formatter.
@@ -106,14 +106,6 @@ class HVector:
     def genus(self) -> int:
         return len(self.coeffs) // 2
 
-    def coeff(self, i: int) -> int:
-        """Coordinate along x_i (1-based)."""
-        _check_index(i, self.genus)
-        return self.coeffs[i - 1]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __add__(self, other: "HVector") -> "HVector":
         _check_operand(self, other)
         return HVector._of(tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
@@ -155,7 +147,7 @@ def basis_vector(genus: int, i: int) -> HVector:
 class IntMatrix:
     """A square integer matrix of even dimension 2g, acting on column vectors."""
 
-    __slots__ = ("rows", "_memo")
+    __slots__ = ("rows", "_odd_E")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(_as_int_tuple(row) for row in rows)
@@ -165,7 +157,7 @@ class IntMatrix:
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
         self.rows = rows
-        self._memo = {}
+        self._odd_E = None
 
     @classmethod
     def _of(cls, rows: tuple):
@@ -173,24 +165,12 @@ class IntMatrix:
         symplectic when cls is SymplecticMatrix."""
         m = object.__new__(cls)
         m.rows = rows
-        m._memo = {}
+        m._odd_E = None
         return m
-
-    def _derived(self, key: str, build):
-        """build(self), computed on the first call for `key` and kept."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build(self)
-            return value
 
     def _cols(self) -> tuple:
         """The columns as a tuple of 2g int tuples."""
         return tuple(zip(*self.rows))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
     @property
     def genus(self) -> int:
@@ -201,20 +181,6 @@ class IntMatrix:
         n = 2 * genus
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def entry(self, i: int, j: int) -> int:
-        """Entry in row i, column j (1-based)."""
-        _check_index(i, self.genus)
-        _check_index(j, self.genus)
-        return self.rows[i - 1][j - 1]
-
-    def col(self, j: int) -> tuple:
-        _check_index(j, self.genus)
-        return self._cols()[j - 1]
-
-    def column_vector(self, j: int) -> HVector:
-        """Column j as an element of H, i.e. the image of x_j."""
-        return HVector._of(self.col(j))
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of(self._cols())
 
@@ -223,8 +189,8 @@ class IntMatrix:
 
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
-            if other.dim != self.dim:
-                raise GenusMismatch(f"dimension {self.dim} vs {other.dim}")
+            if len(other.rows) != len(self.rows):
+                raise GenusMismatch(f"dimension {len(self.rows)} vs {len(other.rows)}")
             cols = other._cols()
             rows = tuple(
                 tuple(sum(map(mul, row, col)) for col in cols)

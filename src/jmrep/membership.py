@@ -37,8 +37,8 @@ The theorem reads E only mod 2, where the signs vanish: with r_i the bits of
 row i of R mod 2 and s_i those of row i of RJ (the block swap of r_i),
 E_ijk = popcount(((s_i & r_j) ^ (r_i & s_j)) & r_k ^ (r_i & r_j) & s_k) mod 2.
 The set of odd triples depends on R alone, so _odd_E keeps it in R's
-per-matrix memo (see linalg): a lift and the membership tests after it on one
-matrix share it.  compute_E gives the exact integers and keeps nothing.
+private slot _odd_E (see linalg): a lift and the membership tests after it on
+one matrix share it.  compute_E gives the exact integers and keeps nothing.
 """
 
 from __future__ import annotations
@@ -72,11 +72,9 @@ def compute_E(R: SymplecticMatrix) -> dict:
 
 
 def _odd_E(R: SymplecticMatrix) -> frozenset:
-    """The triples (i, j, k), i < j < k, with E_ijk odd, kept in R's memo."""
-    return R._derived("odd_E", _odd_E_set)
-
-
-def _odd_E_set(R: SymplecticMatrix) -> frozenset:
+    """The triples (i, j, k), i < j < k, with E_ijk odd, kept in R's slot _odd_E."""
+    if R._odd_E is not None:
+        return R._odd_E
     g, n = R.genus, 2 * R.genus
     low = (1 << g) - 1
     # bit c of r_i is R_ic mod 2 (v & 1 holds for negative and unbounded ints);
@@ -90,7 +88,8 @@ def _odd_E_set(R: SymplecticMatrix) -> frozenset:
         for k in range(j + 1, n):
             if ((cross & r[k]) ^ (prod & s[k])).bit_count() & 1:
                 odd.append((i + 1, j + 1, k + 1))
-    return frozenset(odd)
+    R._odd_E = frozenset(odd)
+    return R._odd_E
 
 
 def mcg_odd_triples(f: Rho2Element) -> list:

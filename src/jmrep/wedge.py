@@ -61,7 +61,8 @@ from .linalg import (
     basis_vector,
 )
 
-# memoryview.cast reads words in the host's byte order (see wedge3_sp_action)
+# memoryview.cast reads words in the host's byte order (see wedge3_sp_action);
+# the -1 branch cannot run on a little-endian host, and no test reaches it
 _STEP = 1 if byteorder == "little" else -1
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -119,7 +120,6 @@ class _Wedge:
     doubled coefficients; Wedge2 and Wedge3 fix the arity."""
 
     __slots__ = ("genus", "_twice")
-    ARITY = 0
 
     def __init__(self, genus: int, terms=()):
         if genus < 1:
@@ -293,11 +293,6 @@ class HomHW2:
     def zero(cls, genus: int) -> "HomHW2":
         return cls(tuple(Wedge2.zero(genus) for _ in range(2 * genus)))
 
-    def image_of(self, n: int) -> Wedge2:
-        """Value at the basis vector x_n (1-based)."""
-        _check_index(n, self.genus)
-        return self.images[n - 1]
-
     def precompose(self, M: IntMatrix) -> "HomHW2":
         """The homomorphism m o M, i.e. x_n -> m(M x_n)."""
         _check_genus(self, M)
@@ -318,9 +313,6 @@ class HomHW2:
     def __sub__(self, other: "HomHW2") -> "HomHW2":
         _check_operand(self, other)
         return HomHW2(a - b for a, b in zip(self.images, other.images))
-
-    def __neg__(self) -> "HomHW2":
-        return HomHW2(-a for a in self.images)
 
     def is_zero(self) -> bool:
         return all(w.is_zero() for w in self.images)

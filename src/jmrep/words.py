@@ -79,15 +79,6 @@ class FreeWord:
     def inverse(self) -> "FreeWord":
         return FreeWord._of(self.genus, tuple(-s for s in reversed(self.letters)))
 
-    def reduced(self) -> "FreeWord":
-        return word_reduce(self)
-
-    def is_reduced(self) -> bool:
-        return all(
-            self.letters[i] != -self.letters[i + 1]
-            for i in range(len(self.letters) - 1)
-        )
-
     def abelianization(self) -> HVector:
         """Exponent-sum vector in H."""
         counts = [0] * (2 * self.genus)
@@ -154,9 +145,6 @@ class EndomorphismSpec:
     @classmethod
     def from_letter_lists(cls, genus: int, lists) -> "EndomorphismSpec":
         return cls(genus, tuple(FreeWord(genus, ls) for ls in lists))
-
-    def __call__(self, w: FreeWord, max_letters: int | None = None) -> FreeWord:
-        return endo_apply(self, w, max_letters=max_letters)
 
     def abelianization(self) -> IntMatrix:
         """The induced matrix on H; column n is the exponent sum of images[n]."""

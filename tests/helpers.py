@@ -231,9 +231,10 @@ def _det3(a, b, c, p, q, r):
 def ref_wedge2_sp_action(R, w):
     """R(x_i ^ x_j) = Rx_i ^ Rx_j by 2x2 minors, term by term."""
     n = 2 * w.genus
+    cols = list(zip(*R.rows))
     out = {}
     for (i, j), t in w.terms():
-        ci, cj = R.col(i), R.col(j)
+        ci, cj = cols[i - 1], cols[j - 1]
         for p, q in itertools.combinations(range(n), 2):
             c = ci[p] * cj[q] - ci[q] * cj[p]
             if c:
@@ -306,9 +307,10 @@ def ref_matvec(A, v):
 def ref_wedge3_sp_action(R, r):
     """R(x_i ^ x_j ^ x_k) = Rx_i ^ Rx_j ^ Rx_k by 3x3 minors, term by term."""
     n = 2 * r.genus
+    cols = list(zip(*R.rows))
     out = {}
     for (i, j, k), t in r.terms():
-        ci, cj, ck = R.col(i), R.col(j), R.col(k)
+        ci, cj, ck = cols[i - 1], cols[j - 1], cols[k - 1]
         for p, q, s in itertools.combinations(range(n), 3):
             d = _det3(ci, cj, ck, p, q, s)
             if d:

@@ -4,7 +4,7 @@ wedge2_sp_action goes through Lambda^2 R.  wedge3_sp_action packs vectors
 into big ints of W-bit fields (Kronecker substitution), W set by a bound on the
 largest field and rounded up to a width class (1, 2 or 4 bytes, or a multiple
 of 8); the tests below put that field next to a byte boundary and next to the
-edge of each class.
+edge of each class, and put the bound of dense inputs just past a class edge.
 The oracles in helpers expand every term by minors.  symplectic_check and
 symplectic_inverse apply J as a signed block swap; the oracles multiply by J
 or check the g x g block identities.  compute_E is compared with its defining
@@ -119,6 +119,24 @@ def test_the_largest_field_next_to_the_width_bound(m, t):
         assert wedge3_sp_action(R, r) == Wedge3(g, {key: m ** 3 * t}) == ref_wedge3_sp_action(R, r)
 
 
+# (g, M, bits): dense worst cases, every entry of R is +-M and every triple of r
+# has the coefficient +-(2^24 + 1), so F = 2 M^3 sum|t| has the given bit
+# length.  35 and 71 lie just past the top of the 4- and 8-byte classes, so a
+# width one class narrower overflows; M = 2^31 - 1 is the largest entry tested.
+# Lambda^3 H = 0 at g = 1, so the cases start at g = 2.
+DENSE_CASES = [(2, 6, 35), (3, 3, 35), (2, 26007, 71), (3, 15209, 71),
+               (2, 2 ** 31 - 1, 121), (3, 2 ** 31 - 1, 123)]
+
+
+@pytest.mark.parametrize("g, M, bits", DENSE_CASES)
+def test_dense_fields_at_the_width_bound_match_the_minor_expansion(g, M, bits):
+    rng, n, t = random.Random(0), 2 * g, 2 ** 24 + 1
+    R = IntMatrix([[rng.choice((M, -M)) for _ in range(n)] for _ in range(n)])
+    r = Wedge3(g, {key: rng.choice((t, -t)) for key in itertools.combinations(range(1, n + 1), 3)})
+    assert (2 * M ** 3 * t * len(r.terms())).bit_length() == bits
+    assert wedge3_sp_action(R, r) == ref_wedge3_sp_action(R, r)
+
+
 # R has the block (m 0 0; 0 m m; 0 -m m) on three indices, so the one
 # field of r = t x_i^x_j^x_k under R is 2 m^3 t, as large as the bound F that
 # sets the width.  F lies just below 2^e, the top of a width class (2, 4, 8 or
@@ -204,7 +222,7 @@ def test_changing_a_returned_E_map_leaves_the_memo_intact():
     spoilers = (lambda E: E.update({t: e + 1 for t, e in E.items()}), dict.clear)
     for g in (2, 3, 4):
         R = rand_symplectic(rng, g)
-        fresh = SymplecticMatrix(R.rows)  # same matrix, its own empty memo
+        fresh = SymplecticMatrix(R.rows)  # same matrix, its own empty slot
         want_E, want_lift = ref_compute_E(fresh), canonical_lift(fresh)
         want_odd = frozenset(t for t, e in want_E.items() if e % 2)
         for spoil in spoilers:
@@ -212,12 +230,12 @@ def test_changing_a_returned_E_map_leaves_the_memo_intact():
             assert canonical_lift(R) == want_lift
             assert mcg_membership(Rho2Element(want_lift.r, R))
             assert compute_E(R) == want_E
-        # the memo holds the odd set alone, immutable, the same for equal rows
-        assert R._memo == fresh._memo == {"odd_E": want_odd}
-        assert type(R._memo["odd_E"]) is frozenset
+        # the slot holds the odd set, immutable, the same for equal rows
+        assert R._odd_E == fresh._odd_E == want_odd
+        assert type(R._odd_E) is frozenset
         bare = SymplecticMatrix(R.rows)
         compute_E(bare)
-        assert bare._memo == {}
+        assert bare._odd_E is None
 
 
 @pytest.mark.parametrize("k", (2, 3))
@@ -291,7 +309,7 @@ def test_not_symplectic_names_the_perturbed_pair(g):
     for (i, _), M in perturbations(rng, g, 12):
         form = ref_symplectic_form(M)
         bad = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-               if form.entry(a, b) != J.entry(a, b)]
+               if form.rows[a - 1][b - 1] != J.rows[a - 1][b - 1]]
         if not bad:
             SymplecticMatrix(M.rows)
             continue
@@ -301,7 +319,7 @@ def test_not_symplectic_names_the_perturbed_pair(g):
             SymplecticMatrix(M.rows)
         assert str(info.value) == (
             f"matrix fails M J M~ = J: entry ({a}, {b}) of M J M~ is "
-            f"{form.entry(a, b)}, of J is {J.entry(a, b)}"
+            f"{form.rows[a - 1][b - 1]}, of J is {J.rows[a - 1][b - 1]}"
         )
         named += 1
     assert named

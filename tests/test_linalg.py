@@ -142,7 +142,7 @@ def test_vector_arithmetic_and_labels():
     assert (v - w).coeffs == (1, -3, -1, 2)
     assert (-v).coeffs == (-1, 2, 0, -3)
     assert (3 * v).coeffs == (3, -6, 0, 9)
-    assert v.coeff(4) == 3
+    assert v.coeffs[3] == 3
     assert basis_label(1, 2) == "a1"
     assert basis_label(3, 2) == "b1"
     assert basis_label(4, 2) == "b2"
@@ -151,6 +151,15 @@ def test_vector_arithmetic_and_labels():
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(ValueError):
         IntMatrix(((1, 0), (0,)))
+
+
+def test_inputs_of_no_or_odd_length_name_the_2g_rule():
+    for coeffs in ((), (1, 0, 0)):
+        with pytest.raises(ValueError, match=r"^coordinate length must be 2g for some g >= 1$"):
+            HVector(coeffs)
+    for rows in ((), ((1,),)):
+        with pytest.raises(ValueError, match=r"^dimension must be 2g for some g >= 1$"):
+            IntMatrix(rows)
 
 
 def test_constructors_reject_non_integers():

@@ -58,7 +58,7 @@ def test_compute_E_is_genus_uniform():
         rows[i][i] = 1
     for a in range(1, 5):
         for b in range(1, 5):
-            rows[remap[a] - 1][remap[b] - 1] = R2.entry(a, b)
+            rows[remap[a] - 1][remap[b] - 1] = R2.rows[a - 1][b - 1]
     R3 = SymplecticMatrix(tuple(tuple(r) for r in rows))
     E2, E3 = compute_E(R2), compute_E(R3)
     for t, v in E2.items():

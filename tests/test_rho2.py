@@ -4,7 +4,6 @@ import pytest
 
 from jmrep import (
     EndomorphismSpec,
-    FreeWord,
     GenusMismatch,
     HomHW2,
     NotInWedge3,
@@ -34,7 +33,6 @@ from jmrep import (
     wedge3_apply,
     wedge3_embed,
     wedge3_sp_action,
-    zero_vector,
 )
 from helpers import (
     rand_catalog_product,
@@ -145,9 +143,9 @@ def test_tau2_tilde_identity_and_twist():
     twist = EndomorphismSpec.from_letter_lists(g, [[1, 3], [2], [3], [4]])
     W, R = tau2_tilde_from_endo(twist)
     assert R == transvection(basis_vector(g, 3))
-    assert W.image_of(1) == Wedge2(g, {(1, 3): 1})
+    assert W.images[0] == Wedge2(g, {(1, 3): 1})
     for n in (2, 3, 4):
-        assert W.image_of(n).is_zero()
+        assert W.images[n - 1].is_zero()
 
 
 def test_tau2_tilde_picks_up_commutator_prefix():
@@ -155,7 +153,7 @@ def test_tau2_tilde_picks_up_commutator_prefix():
     e = EndomorphismSpec.from_letter_lists(g, [[1, 3, -1, -3, 1], [2], [3], [4]])
     W, R = tau2_tilde_from_endo(e)
     assert R == SymplecticMatrix.identity(g)
-    assert W.image_of(1) == Wedge2(g, {(1, 3): 2})
+    assert W.images[0] == Wedge2(g, {(1, 3): 2})
 
 
 def test_tau2_tilde_rejects_non_symplectic_abelianization():

@@ -160,7 +160,7 @@ def test_vector_and_matrix_operations_stay_canonical(g):
     R, S = rand_symplectic(rng, g), rand_symplectic(rng, g)
     A = IntMatrix(R.rows)
     u, v = rand_vector(rng, g), rand_vector(rng, g)
-    for x in (u + v, u - v, -u, 0 * u, 3 * u, R * u, A * v, R.column_vector(1)):
+    for x in (u + v, u - v, -u, 0 * u, 3 * u, R * u, A * v):
         assert_canonical_vector(x)
     trusted = (R * S, R.inverse(), symplectic_inverse(S))
     for M in trusted:
@@ -171,20 +171,20 @@ def test_vector_and_matrix_operations_stay_canonical(g):
 
 
 @pytest.mark.parametrize("g", range(1, 6))
-def test_memoized_columns_match_the_rows(g):
+def test_columns_match_the_rows_and_the_odd_set_slot_is_ignored(g):
     rng = random.Random(750 + g)
     R, S = rand_symplectic(rng, g), rand_symplectic(rng, g)
     A = IntMatrix(R.rows)
     for M in (R, S):
-        canonical_lift(M)  # matrices with a filled memo
+        canonical_lift(M)
+        assert M._odd_E is not None  # matrices with a filled slot
     results = (R * S, A * R, R * A, R.inverse(), symplectic_inverse(S), A.transpose(),
                R.transpose(), -A, -R, SymplecticMatrix.identity(g),
                transvection(rand_vector(rng, g, bound=1)), decode_matrix(encode_matrix(S)))
     for M in (R, S, A, *results):
         cols = tuple(zip(*M.rows))
         assert M._cols() == cols
-        assert tuple(M.col(j) for j in range(1, 2 * g + 1)) == cols
-        # the memo takes no part in equality, hashing or repr
+        # the slot takes no part in equality, hashing or repr
         bare = type(M)._of(M.rows)
         assert M == bare and hash(M) == hash(bare) and repr(M) == repr(bare)
 
@@ -221,7 +221,6 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
     endo_apply(e, word)
     endo_compose(e, e2)
     assert word_reduce(word * word.inverse()).letters == ()
-    (word * word).reduced()
     boundary_word(g)
 
     # R computed from words must still pass M J M~ = J, but its integers,

@@ -116,6 +116,14 @@ def test_wedge_rejects_non_integer_coefficients():
         Wedge2(2, {(1, 2): True})
 
 
+def test_integer_multiples_scale_every_doubled_coefficient():
+    w, r = Wedge2(2, {(1, 2): 2, (3, 4): -3}), Wedge3(3, {(1, 2, 3): 5, (2, 4, 6): -1})
+    assert 3 * w == w * 3 == Wedge2(2, {(1, 2): 6, (3, 4): -9})
+    assert -2 * w == Wedge2(2, {(1, 2): -4, (3, 4): 6})
+    assert 3 * r == Wedge3(3, {(1, 2, 3): 15, (2, 4, 6): -3})
+    assert -2 * r == r * -2 == Wedge3(3, {(1, 2, 3): -10, (2, 4, 6): 2})
+
+
 def test_kappa_values():
     g = 2
     assert kappa(basis_vector(g, 1)) == Wedge2(g, {(1, 3): 1})
@@ -168,11 +176,16 @@ def test_decode_names_the_perturbed_basis_vector(n):
     g = 3
     r = rand_member(random.Random(450 + n), g).r
     images = list(wedge3_embed(r).images)
-    # x_1^x_6 is a pair the dual-basis read-off never takes from this image,
-    # so the read-off is still r and only the image of x_n differs
-    images[n - 1] = images[n - 1] + Wedge2.basis(g, 1, 2 * g)
-    with pytest.raises(NotInWedge3, match=f"value at {basis_label(n, g)} "):
+    # the dual-basis read-off never takes a pair x_p^x_6 from any image, so
+    # the read-off is still r and only the image of x_n differs, at x_p^x_6
+    p = n % 5 + 1
+    images[n - 1] = images[n - 1] + Wedge2.basis(g, p, 2 * g)
+    with pytest.raises(NotInWedge3) as exc:
         wedge3_decode(HomHW2(images))
+    assert str(exc.value) == (
+        f"the value at {basis_label(n, g)} is not that of any element of (1/2)W3(H) "
+        f"(first difference at {basis_label(p, g)}^b3)"
+    )
 
 
 def test_decode_is_linear_over_doubling():
