@@ -124,89 +124,6 @@ from .catalog import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CatalogEntry",
-    "EndomorphismSpec",
-    "FreeWord",
-    "GenusMismatch",
-    "HVector",
-    "HomHW2",
-    "IntMatrix",
-    "JmrepError",
-    "NotInWedge3",
-    "NotSymplectic",
-    "Phi2Element",
-    "Rho2Element",
-    "SymplecticMatrix",
-    "ValidationReport",
-    "Wedge2",
-    "Wedge3",
-    "WordLengthExceeded",
-    "act_on_phi2",
-    "basis_label",
-    "basis_vector",
-    "boundary_word",
-    "canonical_dumps",
-    "canonical_lift",
-    "catalog",
-    "compute_E",
-    "decode_endo",
-    "decode_hvector",
-    "decode_matrix",
-    "decode_phi2",
-    "decode_rho2",
-    "decode_symplectic",
-    "decode_wedge2",
-    "decode_wedge3",
-    "decode_word",
-    "encode_endo",
-    "encode_hvector",
-    "encode_matrix",
-    "encode_phi2",
-    "encode_rho2",
-    "encode_wedge2",
-    "encode_wedge3",
-    "encode_word",
-    "endo_apply",
-    "endo_compose",
-    "entry_from_dict",
-    "entry_to_dict",
-    "half_wedge2_of",
-    "handlebody_failures",
-    "handlebody_membership",
-    "handlebody_sp_check",
-    "kappa",
-    "kappa_hom",
-    "make_J",
-    "mcg_membership",
-    "morita_shift",
-    "morita_tau2_prime",
-    "pairing",
-    "phi2_b_membership",
-    "phi2_eval_word",
-    "phi2_inv",
-    "phi2_mul",
-    "phi2_pi_membership",
-    "phi2_word_synthesis",
-    "preserves_phi2_b",
-    "principal_crossed_hom",
-    "rho2_inv",
-    "rho2_mul",
-    "sp_action_on_hom",
-    "symplectic_check",
-    "symplectic_inverse",
-    "tau2_from_endo",
-    "tau2_tilde_from_endo",
-    "torelli_handlebody_basis",
-    "transvection",
-    "validate_entry",
-    "wedge2_of",
-    "wedge2_sp_action",
-    "wedge3_apply",
-    "wedge3_decode",
-    "wedge3_embed",
-    "wedge3_of",
-    "wedge3_sp_action",
-    "word_reduce",
-    "zero_vector",
-]
+# every public name is a class or a function imported above; tests/test_api.py pins the list
+__all__ = sorted(name for name, value in globals().items()
+                 if callable(value) and not name.startswith("_"))

@@ -10,8 +10,8 @@ The intersection pairing is <u, v> = v~ J u (v~ = transpose), which makes
 <a_i, b_i> = +1 and gives the contraction identity <R x_n, x_k> = (JR)_kn.
 
 The public constructors check every entry, and SymplecticMatrix also checks
-M J M~ = J.  Closed operations (vector arithmetic, products, transpose,
-negation, symplectic_inverse) build their results through the unchecked _of
+M J M~ = J.  Closed operations (vector arithmetic, products, negation,
+symplectic_inverse) build their results through the unchecked _of
 and keep the invariant themselves: a vector is a tuple of 2g ints, a matrix
 a tuple of 2g such tuples, and a SymplecticMatrix result is symplectic, as
 products and inverses of symplectic matrices are by theorem.
@@ -27,8 +27,9 @@ membership._odd_E and kept, as a frozenset, in the matrix's private slot
 _odd_E (None until then); the exact map of membership.compute_E is not kept.
 The slot takes no part in equality, hashing or repr.
 
-_check_genus, _check_operand, _check_index and _fmt_terms are the package's one
-genus check, operand check, basis-index check and term formatter.
+_require_genus, _check_genus, _check_operand, _check_index and _fmt_terms are the
+package's one genus rule (an int, not a bool, >= 1), genus-agreement check,
+operand check, basis-index check and term formatter.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ def _check_index(i: int, genus: int) -> None:
     """Raise ValueError unless i is an int in 1..2g (0 or -1 would index from the end)."""
     if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= 2 * genus:
         raise ValueError(f"basis index {i} out of range for genus {genus}")
+
+
+def _require_genus(genus) -> None:
+    """Raise ValueError unless genus is an int (not a bool) >= 1."""
+    if isinstance(genus, bool) or not isinstance(genus, int) or genus <= 0:
+        raise ValueError(f"genus must be an integer >= 1, got {genus!r}")
 
 
 def _check_genus(a, b) -> None:
@@ -181,16 +188,14 @@ class IntMatrix:
         n = 2 * genus
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._of(self._cols())
-
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._of(tuple(tuple(-x for x in row) for row in self.rows))
 
     def __mul__(self, other):
+        if not isinstance(other, (IntMatrix, HVector)):
+            return NotImplemented
+        _check_genus(self, other)
         if isinstance(other, IntMatrix):
-            if len(other.rows) != len(self.rows):
-                raise GenusMismatch(f"dimension {len(self.rows)} vs {len(other.rows)}")
             cols = other._cols()
             rows = tuple(
                 tuple(sum(map(mul, row, col)) for col in cols)
@@ -199,12 +204,9 @@ class IntMatrix:
             if isinstance(self, SymplecticMatrix) and isinstance(other, SymplecticMatrix):
                 return SymplecticMatrix._of(rows)
             return IntMatrix._of(rows)
-        if isinstance(other, HVector):
-            _check_genus(self, other)
-            return HVector._of(
-                tuple(sum(map(mul, row, other.coeffs)) for row in self.rows)
-            )
-        return NotImplemented
+        return HVector._of(
+            tuple(sum(map(mul, row, other.coeffs)) for row in self.rows)
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
@@ -219,8 +221,7 @@ class IntMatrix:
 
 def make_J(genus: int) -> IntMatrix:
     """The intersection-form matrix with g x g blocks (0 -I; I 0): row k is x_k~J."""
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
+    _require_genus(genus)
     return IntMatrix(_vJ(row) for row in IntMatrix.identity(genus).rows)
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 from operator import mul
 
-from .linalg import SymplecticMatrix, _vJ, basis_vector
+from .linalg import SymplecticMatrix, _require_genus, _vJ, basis_vector
 from .phi2 import Phi2Element, phi2_b_membership
 from .rho2 import Rho2Element, act_on_phi2
 from .wedge import Wedge2, Wedge3
@@ -150,8 +150,7 @@ def torelli_handlebody_basis(genus: int) -> list:
     b_i^b_j^b_k, a_i^b_j^b_k, a_i^a_j^b_k with 1 <= i, j, k <= g
     (indices increasing inside each factor type).
     """
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
+    _require_genus(genus)
     g = genus
     ident = SymplecticMatrix.identity(g)
     out = []

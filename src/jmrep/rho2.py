@@ -155,7 +155,7 @@ def tau2_tilde_from_endo(endo: EndomorphismSpec):
     try:
         _require_symplectic(R)
     except NotSymplectic as exc:
-        raise NotSymplectic("endomorphism abelianization is not symplectic") from exc
+        raise NotSymplectic(f"endomorphism abelianization is not symplectic: {exc}") from exc
     return HomHW2(tuple(p.eta for p in pairs)), R
 
 
@@ -194,10 +194,11 @@ def morita_shift(genus: int) -> Wedge3:
 
 
 def morita_tau2_prime(f: Rho2Element) -> HomHW2:
-    """The variant crossed homomorphism embed(r) + (m - R m) with the fixed shift m.
+    """The variant crossed homomorphism embed(r) + (m - R m) with m = embed(s), s the shift.
 
     It differs from embed(r) by a principal crossed homomorphism, so both
-    represent the same first-cohomology class.
+    represent the same first-cohomology class.  The embedding is Sp-equivariant,
+    R m = embed(R s), so this is embed(r + s - R s): one Lambda^3 action.
     """
-    mh = wedge3_embed(morita_shift(f.genus))
-    return wedge3_embed(f.r) + principal_crossed_hom(mh, f.R)
+    s = morita_shift(f.genus)
+    return wedge3_embed(f.r + s - wedge3_sp_action(f.R, s))

@@ -56,6 +56,7 @@ from .linalg import (
     _check_index,
     _check_operand,
     _fmt_terms,
+    _require_genus,
     _vJ,
     basis_label,
     basis_vector,
@@ -122,8 +123,7 @@ class _Wedge:
     __slots__ = ("genus", "_twice")
 
     def __init__(self, genus: int, terms=()):
-        if genus < 1:
-            raise ValueError("genus must be >= 1")
+        _require_genus(genus)
         self.genus = genus
         self._twice = _build_twice(genus, terms, self.ARITY)
 
@@ -283,10 +283,12 @@ class HomHW2:
         images = tuple(images)
         if not images:
             raise ValueError("need 2g images")
-        g = images[0].genus
-        if len(images) != 2 * g or any(w.genus != g for w in images):
-            raise GenusMismatch("need exactly 2g images of uniform genus")
-        self.genus = g
+        for w in images:
+            if not isinstance(w, Wedge2):
+                raise TypeError("images must be Wedge2 instances")
+            if 2 * w.genus != len(images):  # checks the count and uniform genus at once
+                raise GenusMismatch("need exactly 2g images of uniform genus")
+        self.genus = len(images) // 2
         self.images = images
 
     @classmethod

@@ -28,7 +28,7 @@ from operator import add, neg
 from typing import Iterable
 
 from .errors import GenusMismatch, WordLengthExceeded
-from .linalg import HVector, IntMatrix, _check_genus, _check_operand
+from .linalg import HVector, IntMatrix, _check_genus, _check_operand, _require_genus
 
 
 def _check_letters(genus: int, letters) -> tuple:
@@ -47,8 +47,7 @@ class FreeWord:
     __slots__ = ("genus", "letters")
 
     def __init__(self, genus: int, letters: Iterable[int] = ()):
-        if genus < 1:
-            raise ValueError("genus must be >= 1")
+        _require_genus(genus)
         self.genus = genus
         self.letters = _check_letters(genus, letters)
 
@@ -127,6 +126,7 @@ class EndomorphismSpec:
     __slots__ = ("genus", "images")
 
     def __init__(self, genus: int, images: Iterable[FreeWord]):
+        _require_genus(genus)
         images = tuple(images)
         if len(images) != 2 * genus:
             raise ValueError(f"need exactly {2 * genus} images, got {len(images)}")
@@ -232,8 +232,7 @@ def endo_compose(e1: EndomorphismSpec, e2: EndomorphismSpec,
 
 def boundary_word(genus: int) -> FreeWord:
     """The boundary circle [alpha_1, beta_1] ... [alpha_g, beta_g]."""
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
+    _require_genus(genus)
     letters = []
     for i in range(1, genus + 1):
         letters += [i, i + genus, -i, -(i + genus)]

@@ -12,7 +12,6 @@ from jmrep import (
     FreeWord,
     HomHW2,
     HVector,
-    IntMatrix,
     NotInWedge3,
     NotSymplectic,
     Phi2Element,
@@ -30,7 +29,6 @@ from jmrep import (
     handlebody_membership,
     handlebody_sp_check,
     kappa,
-    make_J,
     pairing,
     phi2_eval_word,
     rho2_inv,
@@ -202,7 +200,7 @@ def ref_validate_failures(entry):
         if [ref_endo_apply(outer, w).letters for w in inner.images] != generators:
             failures.append(f"{name} is not the identity")
     R = spec.abelianization()
-    symplectic = ref_symplectic_form(R) == make_J(g)
+    symplectic = ref_symplectic_form(R) == ref_J(g)
     if not symplectic:
         failures.append("abelianization is not symplectic")
     if ref_endo_apply(spec, boundary_word(g)) != boundary_word(g):
@@ -330,15 +328,23 @@ def ref_morita_shift(g):
     return Wedge3(g, {t: -(c // 2) for t, c in total.terms()})
 
 
+def ref_J(g):
+    """Rows of J = (0 -I; I 0) in g x g blocks, entry by entry."""
+    n = 2 * g
+    return tuple(tuple(-1 if j == i + g else 1 if i == j + g else 0 for j in range(n))
+                 for i in range(n))
+
+
 def ref_symplectic_form(M):
-    """The matrix M J M~, by two products with J."""
-    return M * make_J(M.genus) * M.transpose()
+    """Rows of M J M~, by two triple-loop products on plain rows."""
+    return ref_matmul(ref_matmul(M.rows, ref_J(M.genus)), tuple(zip(*M.rows)))
 
 
 def ref_symplectic_inverse(M):
-    """-J M~ J, the inverse of a symplectic M since J^-1 = -J."""
-    J = make_J(M.genus)
-    return IntMatrix((-(J * M.transpose() * J)).rows)
+    """Rows of -J M~ J, the inverse of a symplectic M since J^-1 = -J."""
+    J = ref_J(M.genus)
+    JMtJ = ref_matmul(ref_matmul(J, tuple(zip(*M.rows))), J)
+    return tuple(tuple(-x for x in row) for row in JMtJ)
 
 
 class BlockConstraints(NamedTuple):
@@ -393,7 +399,7 @@ def triple_dot(w, y, z) -> int:
 
 def ref_compute_E(R):
     """E_ijk as the membership docstring defines it, with RJ by a product with J."""
-    r, s = R.rows, (R * make_J(R.genus)).rows
+    r, s = R.rows, ref_matmul(R.rows, ref_J(R.genus))
     return {
         (i + 1, j + 1, k + 1): triple_dot(s[i], r[j], r[k]) - triple_dot(r[i], s[j], r[k])
         + triple_dot(r[i], r[j], s[k])

@@ -336,8 +336,11 @@ def test_rho2_verb_matches_the_catalog_twist(tmp_path, capsys):
 
 def test_rho2_verb_rejects_non_symplectic_endomorphism(tmp_path, capsys):
     endo = {"genus": 1, "images": [[1, 1], [2]]}
-    code, _ = run(capsys, ["rho2", write_doc(tmp_path, "e.json", endo)])
-    assert code == 2
+    assert main(["rho2", write_doc(tmp_path, "e.json", endo)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: endomorphism abelianization is not symplectic: matrix fails "
+                   "M J M~ = J: entry (1, 2) of M J M~ is -2, of J is -1\n")
 
 
 def test_usage_errors_exit_2_via_argparse(capsys):

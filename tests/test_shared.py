@@ -1,7 +1,7 @@
-"""The checks and the repr rule that every module shares (linalg._check_genus,
-_check_operand, _check_index and _fmt_terms), pinned by their exact messages
-and output, and two lints: of the package's imports, and of methods that only the
-tests call."""
+"""The checks and the repr rule that every module shares (linalg._require_genus,
+_check_genus, _check_operand, _check_index and _fmt_terms), pinned by their
+exact messages and output, and two lints: of the package's imports, and of
+methods that only the tests call."""
 
 import ast
 import operator
@@ -24,10 +24,13 @@ from jmrep import (
     Wedge3,
     basis_label,
     basis_vector,
+    boundary_word,
     endo_apply,
     endo_compose,
     half_wedge2_of,
+    make_J,
     pairing,
+    torelli_handlebody_basis,
     wedge2_sp_action,
     wedge3_apply,
     wedge3_sp_action,
@@ -63,6 +66,7 @@ def test_binary_operations_check_their_operand(name, op):
 
 ident = SymplecticMatrix.identity
 GENUS_CHECKS = {  # (genus a, genus b) -> a call whose operands have those genera
+    "IntMatrix * IntMatrix": lambda a, b: ident(a) * ident(b),
     "IntMatrix * HVector": lambda a, b: ident(a) * zero_vector(b),
     "pairing": lambda a, b: pairing(zero_vector(a), zero_vector(b)),
     "half_wedge2_of": lambda a, b: half_wedge2_of(zero_vector(a), zero_vector(b)),
@@ -84,6 +88,24 @@ def test_mixed_genera_name_both_genera_in_order(name):
         with pytest.raises(GenusMismatch) as exc:
             GENUS_CHECKS[name](g, h)
         assert str(exc.value) == f"genus {g} vs {h}"
+
+
+GENUS_RULE = {  # genus -> a call that takes a genus of its own
+    "Wedge2": Wedge2,
+    "FreeWord": FreeWord,
+    "boundary_word": boundary_word,
+    "make_J": make_J,
+    "torelli_handlebody_basis": torelli_handlebody_basis,
+    "EndomorphismSpec": lambda g: EndomorphismSpec(g, ()),
+}
+
+
+@pytest.mark.parametrize("name", GENUS_RULE)
+def test_a_genus_must_be_an_int_of_at_least_one(name):
+    for g in (0, -1, True, 2.0):
+        with pytest.raises(ValueError) as exc:
+            GENUS_RULE[name](g)
+        assert str(exc.value) == f"genus must be an integer >= 1, got {g!r}"
 
 
 @pytest.mark.parametrize("value, text", [
@@ -141,7 +163,6 @@ def test_no_module_has_an_unused_import():
 
 # methods that only the tests and their oracles call, each kept for a reason
 TEST_ONLY_METHODS = {
-    "transpose": "M~ in the oracles of tests/helpers.py: the form M J M~ and the inverse -J M~ J",
     "is_integral": "the acceptance checks compare membership over R = I with integrality",
 }
 

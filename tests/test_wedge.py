@@ -5,6 +5,7 @@ import random
 import pytest
 
 from jmrep import (
+    GenusMismatch,
     HomHW2,
     NotInWedge3,
     SymplecticMatrix,
@@ -25,6 +26,7 @@ from jmrep import (
     wedge3_embed,
     wedge3_of,
     wedge3_sp_action,
+    zero_vector,
 )
 from helpers import (
     _det3,
@@ -199,6 +201,18 @@ def test_genus_one_decode_only_zero():
     bad = HomHW2([Wedge2(1, {(1, 2): 1}), Wedge2.zero(1)])
     with pytest.raises(NotInWedge3):
         wedge3_decode(bad)
+
+
+def test_hom_images_must_be_wedge2s_of_one_genus_g_2g_in_number():
+    for images in ([zero_vector(2)] * 4, [Wedge3.zero(2)] * 4, [1, 2]):
+        with pytest.raises(TypeError) as exc:
+            HomHW2(images)
+        assert str(exc.value) == "images must be Wedge2 instances"
+    for images in ([Wedge2.zero(1)] * 3, [Wedge2.zero(2)] * 2,
+                   [Wedge2.zero(2)] * 3 + [Wedge2.zero(1)]):
+        with pytest.raises(GenusMismatch) as exc:
+            HomHW2(images)
+        assert str(exc.value) == "need exactly 2g images of uniform genus"
 
 
 def test_sp_action_on_wedge3_frozen_case():
