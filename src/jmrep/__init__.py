@@ -47,7 +47,6 @@ from .wedge import (
     kappa,
     kappa_hom,
     sp_action_on_hom,
-    wedge2_of,
     wedge2_sp_action,
     wedge3_apply,
     wedge3_decode,
@@ -87,7 +86,6 @@ from .jsonio import (
     canonical_dumps,
     decode_endo,
     decode_hvector,
-    decode_matrix,
     decode_phi2,
     decode_rho2,
     decode_symplectic,

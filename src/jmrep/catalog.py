@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import NotInWedge3
 from .jsonio import _genus_of, _require
-from .linalg import symplectic_check
+from .linalg import _require_genus, symplectic_check
 from .membership import handlebody_membership, handlebody_sp_check
 from .rho2 import tau2_from_endo
 from .words import EndomorphismSpec, boundary_word, endo_apply, endo_compose
@@ -171,5 +171,6 @@ def _entries(g: int) -> list:
 
 def catalog(genus: int) -> list:
     """All catalog entries of the given genus (empty outside genus 2 and 3)."""
+    _require_genus(genus)
     # catalog(4) stays empty: the benchmark's represent pool at g = 3, 4 draws on it
     return _entries(genus) if genus in (2, 3) else []

@@ -80,10 +80,6 @@ def _rows(doc) -> list:
     return rows  # the constructor checks that each row has length 2*genus
 
 
-def decode_matrix(doc) -> IntMatrix:
-    return IntMatrix(_rows(doc))  # checks each entry
-
-
 def decode_symplectic(doc) -> SymplecticMatrix:
     return SymplecticMatrix(_rows(doc))  # also raises NotSymplectic unless M J M~ = J
 

@@ -27,9 +27,10 @@ membership._odd_E and kept, as a frozenset, in the matrix's private slot
 _odd_E (None until then); the exact map of membership.compute_E is not kept.
 The slot takes no part in equality, hashing or repr.
 
-_require_genus, _check_genus, _check_operand, _check_index and _fmt_terms are the
-package's one genus rule (an int, not a bool, >= 1), genus-agreement check,
-operand check, basis-index check and term formatter.
+_require_genus, _check_genus, _check_operand, _check_index, _check_images and
+_fmt_terms are the package's one genus rule (an int, not a bool, >= 1),
+genus-agreement check, operand check, basis-index check, image-list check (2g
+images of one genus) and term formatter.
 """
 
 from __future__ import annotations
@@ -65,6 +66,20 @@ def _check_genus(a, b) -> None:
     """Raise GenusMismatch unless a and b have the same genus."""
     if a.genus != b.genus:
         raise GenusMismatch(f"genus {a.genus} vs {b.genus}")
+
+
+def _check_images(genus, images: tuple, kind) -> tuple:
+    """Return images; raise unless genus obeys the genus rule and images are 2g
+    instances of kind, each of that genus."""
+    _require_genus(genus)
+    if len(images) != 2 * genus:
+        raise ValueError(f"need exactly {2 * genus} images, got {len(images)}")
+    for w in images:
+        if not isinstance(w, kind):
+            raise TypeError(f"images must be {kind.__name__} instances")
+        if w.genus != genus:
+            raise GenusMismatch(f"genus {genus} vs image genus {w.genus}")
+    return images
 
 
 def _check_operand(a, b) -> None:
@@ -142,11 +157,13 @@ class HVector:
 
 
 def zero_vector(genus: int) -> HVector:
+    _require_genus(genus)
     return HVector((0,) * (2 * genus))
 
 
 def basis_vector(genus: int, i: int) -> HVector:
     """The basis vector x_i of H (1-based)."""
+    _require_genus(genus)
     _check_index(i, genus)
     return HVector._of(tuple(1 if k == i else 0 for k in range(1, 2 * genus + 1)))
 
@@ -185,6 +202,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, genus: int):
+        _require_genus(genus)
         n = 2 * genus
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
@@ -221,7 +239,6 @@ class IntMatrix:
 
 def make_J(genus: int) -> IntMatrix:
     """The intersection-form matrix with g x g blocks (0 -I; I 0): row k is x_k~J."""
-    _require_genus(genus)
     return IntMatrix(_vJ(row) for row in IntMatrix.identity(genus).rows)
 
 
@@ -273,7 +290,7 @@ class SymplecticMatrix(IntMatrix):
 def symplectic_inverse(M: SymplecticMatrix) -> SymplecticMatrix:
     """Exact inverse (S T; P Q)^-1 = (Q~ -T~; -P~ S~), i.e. -J M~ J, in g x g blocks."""
     if not isinstance(M, SymplecticMatrix):
-        raise NotSymplectic("symplectic_inverse needs a SymplecticMatrix")
+        raise TypeError("symplectic_inverse needs a SymplecticMatrix")
     g = M.genus
     cols = M._cols()
     top = [col[g:] + tuple(-x for x in col[:g]) for col in cols[g:]]

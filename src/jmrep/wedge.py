@@ -34,9 +34,9 @@ loop adds a contraction r(v) into and one helper reads out.  On W3(H) it packs
 vectors into big ints of fixed-width fields (Kronecker substitution), so each
 Lambda^2 block and each row of the result is a few integer products.
 
-Genera, operands, basis indices and reprs go through linalg's _check_genus,
-_check_operand, _check_index and _fmt_terms; _add_kappa is kappa's rule for
-rho2 as well.
+Genera, operands, image lists, basis indices and reprs go through linalg's
+_check_genus, _check_operand, _check_images, _check_index and _fmt_terms;
+_add_kappa is kappa's rule for rho2 as well.
 """
 
 from __future__ import annotations
@@ -47,12 +47,13 @@ from operator import add, itemgetter, lshift, mul, sub
 from sys import byteorder
 from typing import Iterable, Mapping
 
-from .errors import GenusMismatch, NotInWedge3
+from .errors import NotInWedge3
 from .linalg import (
     HVector,
     IntMatrix,
     SymplecticMatrix,
     _check_genus,
+    _check_images,
     _check_index,
     _check_operand,
     _fmt_terms,
@@ -236,15 +237,10 @@ def _pair_minors(u, v) -> dict:
     return out
 
 
-def wedge2_of(u: HVector, v: HVector) -> Wedge2:
-    """The integral product u ^ v; coefficient of x_i^x_j is u_i v_j - u_j v_i."""
-    return 2 * half_wedge2_of(u, v)
-
-
 def wedge3_of(u: HVector, v: HVector, w: HVector) -> Wedge3:
     """The integral product u ^ v ^ w; coefficients are 3x3 minors."""
-    if not (u.genus == v.genus == w.genus):
-        raise GenusMismatch("mixed genera in wedge3_of")
+    _check_genus(u, v)
+    _check_genus(u, w)
     a, b, c = u.coeffs, v.coeffs, w.coeffs
     minors = {(p + 1, q + 1, s + 1): 2 * (a[p] * (b[q] * c[s] - b[s] * c[q])
                                           - a[q] * (b[p] * c[s] - b[s] * c[p])
@@ -281,18 +277,12 @@ class HomHW2:
 
     def __init__(self, images: Iterable[Wedge2]):
         images = tuple(images)
-        if not images:
-            raise ValueError("need 2g images")
-        for w in images:
-            if not isinstance(w, Wedge2):
-                raise TypeError("images must be Wedge2 instances")
-            if 2 * w.genus != len(images):  # checks the count and uniform genus at once
-                raise GenusMismatch("need exactly 2g images of uniform genus")
         self.genus = len(images) // 2
-        self.images = images
+        self.images = _check_images(self.genus, images, Wedge2)
 
     @classmethod
     def zero(cls, genus: int) -> "HomHW2":
+        _require_genus(genus)
         return cls(tuple(Wedge2.zero(genus) for _ in range(2 * genus)))
 
     def precompose(self, M: IntMatrix) -> "HomHW2":
@@ -340,6 +330,7 @@ class HomHW2:
 
 def kappa_hom(genus: int) -> HomHW2:
     """kappa as a HomHW2: x_i -> (1/2) x_i ^ C x_i extended linearly."""
+    _require_genus(genus)
     return HomHW2(tuple(kappa(basis_vector(genus, i)) for i in range(1, 2 * genus + 1)))
 
 

@@ -27,8 +27,8 @@ from __future__ import annotations
 from operator import add, neg
 from typing import Iterable
 
-from .errors import GenusMismatch, WordLengthExceeded
-from .linalg import HVector, IntMatrix, _check_genus, _check_operand, _require_genus
+from .errors import WordLengthExceeded
+from .linalg import HVector, IntMatrix, _check_genus, _check_images, _check_operand, _require_genus
 
 
 def _check_letters(genus: int, letters) -> tuple:
@@ -126,17 +126,8 @@ class EndomorphismSpec:
     __slots__ = ("genus", "images")
 
     def __init__(self, genus: int, images: Iterable[FreeWord]):
-        _require_genus(genus)
-        images = tuple(images)
-        if len(images) != 2 * genus:
-            raise ValueError(f"need exactly {2 * genus} images, got {len(images)}")
-        for w in images:
-            if not isinstance(w, FreeWord):
-                raise TypeError("images must be FreeWord instances")
-            if w.genus != genus:
-                raise GenusMismatch(f"genus {genus} vs image genus {w.genus}")
+        self.images = _check_images(genus, tuple(images), FreeWord)
         self.genus = genus
-        self.images = images
 
     @classmethod
     def identity(cls, genus: int) -> "EndomorphismSpec":

@@ -9,7 +9,9 @@ from jmrep import (
     CatalogEntry,
     EndomorphismSpec,
     FreeWord,
+    Rho2Element,
     SymplecticMatrix,
+    Wedge3,
     basis_vector,
     catalog,
     entry_from_dict,
@@ -157,6 +159,38 @@ def test_validation_rejects_false_handlebody_claim():
     lied = CatalogEntry(good.name, good.spec, good.inverse_spec, True)
     report = validate_entry(lied)
     assert any("claimed handlebody" in f for f in report.failures)
+
+
+def test_validation_stops_at_an_inverse_of_another_genus():
+    entry = CatalogEntry("x", EndomorphismSpec.identity(2), EndomorphismSpec.identity(3), False)
+    assert validate_entry(entry).failures == ("inverse genus differs",)
+
+
+def _fixing_all_but(moved):
+    """The genus-3 spec that sends each generator in moved to its word, fixing the others."""
+    return EndomorphismSpec.from_letter_lists(3, [moved.get(x, [x]) for x in range(1, 7)])
+
+
+NOT_THE_IDENTITY = ("spec o inverse_spec is not the identity",
+                    "inverse_spec o spec is not the identity", "boundary word is not fixed")
+
+
+def test_handlebody_claim_fails_at_degree_two_outside_wedge3():
+    # b3 -> b3[a1, a2]: R = I, and the value at b1 is not induced by any r
+    spec = _fixing_all_but({6: [6, 1, 2, -1, -2]})
+    report = validate_entry(CatalogEntry("x", spec, EndomorphismSpec.identity(3), True))
+    assert report.failures == NOT_THE_IDENTITY + (
+        "claimed handlebody but degree-two value fails: the value at b1 is not that of any "
+        "element of (1/2)W3(H) (first difference at a2^a3)",)
+
+
+def test_handlebody_claim_fails_on_membership():
+    # b1 -> b1[a2, a3], b2 -> b2[a3, a1], b3 -> b3[a1, a2]: r = -a1^a2^a3 and R = I
+    spec = _fixing_all_but({4: [4, 2, 3, -2, -3], 5: [5, 3, 1, -3, -1], 6: [6, 1, 2, -1, -2]})
+    assert tau2_from_endo(spec) == Rho2Element(-Wedge3.basis(3, 1, 2, 3),
+                                               SymplecticMatrix.identity(3))
+    report = validate_entry(CatalogEntry("x", spec, EndomorphismSpec.identity(3), True))
+    assert report.failures == NOT_THE_IDENTITY + ("claimed handlebody but membership fails",)
 
 
 def test_entry_and_report_records():

@@ -11,7 +11,6 @@ from jmrep import (
     canonical_dumps,
     decode_endo,
     decode_hvector,
-    decode_matrix,
     decode_phi2,
     decode_rho2,
     decode_symplectic,
@@ -130,23 +129,26 @@ def test_decode_hvector_rejects_malformed(doc):
         decode_hvector(doc)
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"genus": 1, "rows": [[1, 0], [0]]},
-        {"genus": 1, "rows": [[1, 0]]},
-        {"genus": 1, "rows": "ID"},
-        # rows that are not arrays, and entries that are not integers
-        {"genus": 1, "rows": [[1, 0], 7]},
-        {"genus": 1, "rows": [[1, 0], "01"]},
-        {"genus": 1, "rows": [[1, 0], {"0": 0, "1": 1}]},
-        {"genus": 1, "rows": [[1, 0], [0, True]]},
-        {"genus": 1, "rows": [[1, 0], [0, 1.0]]},
-    ],
-)
-def test_decode_matrix_rejects_malformed(doc):
-    with pytest.raises(ValueError):
-        decode_matrix(doc)
+MALFORMED_MATRICES = [  # (document, the shape message it must raise)
+    ({"genus": 1, "rows": [[1, 0], [0]]}, "matrix must be square"),
+    ({"genus": 1, "rows": [[1, 0]]}, "'rows' must be an array of 2*genus rows"),
+    ({"genus": 1, "rows": "ID"}, "'rows' must be an array of 2*genus rows"),
+    # rows that are not arrays, and entries that are not integers
+    ({"genus": 1, "rows": [[1, 0], 7]}, "matrix row must be an array"),
+    ({"genus": 1, "rows": [[1, 0], "01"]}, "matrix row must be an array"),
+    ({"genus": 1, "rows": [[1, 0], {"0": 0, "1": 1}]}, "matrix row must be an array"),
+    ({"genus": 1, "rows": [[1, 0], [0, True]]}, "expected an integer, got True"),
+    ({"genus": 1, "rows": [[1, 0], [0, 1.0]]}, "expected an integer, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_MATRICES,
+                         ids=[f"doc{i}" for i in range(len(MALFORMED_MATRICES))])
+def test_decode_matrix_rejects_malformed(doc, message):
+    # NotSymplectic is a ValueError too, so the message shows the shape check fired
+    with pytest.raises(ValueError) as exc:
+        decode_symplectic(doc)
+    assert str(exc.value) == message
 
 
 def test_decode_symplectic_rejects_pairing_violation():

@@ -38,7 +38,6 @@ from jmrep import (
     compute_E,
     decode_endo,
     decode_hvector,
-    decode_matrix,
     decode_phi2,
     decode_rho2,
     decode_symplectic,
@@ -180,7 +179,7 @@ def test_columns_match_the_rows_and_the_odd_set_slot_is_ignored(g):
         assert M._odd_E is not None  # matrices with a filled slot
     results = (R * S, A * R, R * A, R.inverse(), symplectic_inverse(S), -A, -R,
                SymplecticMatrix.identity(g),
-               transvection(rand_vector(rng, g, bound=1)), decode_matrix(encode_matrix(S)))
+               transvection(rand_vector(rng, g, bound=1)), decode_symplectic(encode_matrix(S)))
     for M in (R, S, A, *results):
         cols = tuple(zip(*M.rows))
         assert M._cols() == cols
@@ -258,7 +257,6 @@ def test_decoders_validate_each_value_once(monkeypatch):
                                       {"idx": [1, 1, 2], "twice": 1}]}
     for decode, doc, want, value in [
         (decode_hvector, encode_hvector(p.y), {"_as_int_tuple": 1}, p.y),
-        (decode_matrix, encode_matrix(f.R), {"_as_int_tuple": 2 * g}, f.R),
         (decode_symplectic, encode_matrix(f.R), {"_as_int_tuple": 2 * g,
                                                  "_symplectic_defect": 1}, f.R),
         (decode_word, encode_word(word), {"_check_letters": 1}, word),

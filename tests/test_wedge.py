@@ -15,11 +15,11 @@ from jmrep import (
     basis_vector,
     decode_wedge2,
     decode_wedge3,
+    half_wedge2_of,
     kappa,
     kappa_hom,
     sp_action_on_hom,
     transvection,
-    wedge2_of,
     wedge2_sp_action,
     wedge3_apply,
     wedge3_decode,
@@ -40,10 +40,11 @@ from helpers import (
 
 
 def test_wedge2_of_basis():
+    # the integral product u ^ v is 2 * half_wedge2_of(u, v)
     a1, b1 = basis_vector(2, 1), basis_vector(2, 3)
-    assert wedge2_of(a1, b1) == Wedge2(2, {(1, 3): 2})
-    assert wedge2_of(a1, a1).is_zero()
-    assert wedge2_of(a1 + b1, b1) == wedge2_of(a1, b1)
+    assert 2 * half_wedge2_of(a1, b1) == Wedge2(2, {(1, 3): 2})
+    assert (2 * half_wedge2_of(a1, a1)).is_zero()
+    assert 2 * half_wedge2_of(a1 + b1, b1) == 2 * half_wedge2_of(a1, b1)
 
 
 def test_wedge2_canonical_form_drops_zeros():
@@ -208,11 +209,16 @@ def test_hom_images_must_be_wedge2s_of_one_genus_g_2g_in_number():
         with pytest.raises(TypeError) as exc:
             HomHW2(images)
         assert str(exc.value) == "images must be Wedge2 instances"
-    for images in ([Wedge2.zero(1)] * 3, [Wedge2.zero(2)] * 2,
-                   [Wedge2.zero(2)] * 3 + [Wedge2.zero(1)]):
-        with pytest.raises(GenusMismatch) as exc:
+    # the genus is the count over 2, so a wrong count or a mixed genus shows as one of these
+    for images, error, message in (
+        ([Wedge2.zero(1)] * 3, ValueError, "need exactly 2 images, got 3"),
+        ([Wedge2.zero(2)] * 2, GenusMismatch, "genus 1 vs image genus 2"),
+        ([Wedge2.zero(2)] * 3 + [Wedge2.zero(1)], GenusMismatch, "genus 2 vs image genus 1"),
+        ([], ValueError, "genus must be an integer >= 1, got 0"),
+    ):
+        with pytest.raises(error) as exc:
             HomHW2(images)
-        assert str(exc.value) == "need exactly 2g images of uniform genus"
+        assert str(exc.value) == message
 
 
 def test_sp_action_on_wedge3_frozen_case():
