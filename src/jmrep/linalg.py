@@ -17,9 +17,10 @@ a tuple of 2g such tuples, and a SymplecticMatrix result is symplectic, as
 products and inverses of symplectic matrices are by theorem.
 
 No routine here multiplies by J: it only swaps the a- and b-blocks with a sign.  The
-symplectic check compares (M J M~)_ab = sum_k (M_a,k+g M_b,k - M_a,k M_b,k+g)
-with J_ab for a < b, and the inverse of M = (S T; P Q) in g x g blocks is
-(Q~ -T~; -P~ S~).
+symplectic check compares (M J M~)_ab = (row a of M)~J . (row b of M) with J_ab
+for a < b.  The inverse of a symplectic M is -J M~ J, so _inverse_cols reads
+its columns straight off the rows of M: column j is (row j+g)~J for j < g and
+-(row j-g)~J otherwise.  symplectic_inverse and rho2.tau2_from_endo both use it.
 
 Rows are never reassigned after construction, so the set of triples with
 E_ijk odd, which depends on a SymplecticMatrix alone, is computed once by
@@ -248,10 +249,9 @@ def _symplectic_defect(M: IntMatrix):
     g = M.genus
     rows = M.rows
     for a, ra in enumerate(rows):
-        lo, hi = ra[:g], ra[g:]
+        raJ = _vJ(ra)
         for b in range(a + 1, 2 * g):
-            rb = rows[b]
-            got = sum(map(mul, hi, rb)) - sum(map(mul, lo, rb[g:]))
+            got = sum(map(mul, raJ, rows[b]))
             want = -1 if b == a + g else 0
             if got != want:
                 return a + 1, b + 1, got, want
@@ -288,20 +288,23 @@ class SymplecticMatrix(IntMatrix):
 
 
 def symplectic_inverse(M: SymplecticMatrix) -> SymplecticMatrix:
-    """Exact inverse (S T; P Q)^-1 = (Q~ -T~; -P~ S~), i.e. -J M~ J, in g x g blocks."""
+    """Exact inverse -J M~ J, i.e. (S T; P Q)^-1 = (Q~ -T~; -P~ S~) in g x g blocks."""
     if not isinstance(M, SymplecticMatrix):
         raise TypeError("symplectic_inverse needs a SymplecticMatrix")
-    g = M.genus
-    cols = M._cols()
-    top = [col[g:] + tuple(-x for x in col[:g]) for col in cols[g:]]
-    bottom = [tuple(-x for x in col[g:]) + col[:g] for col in cols[:g]]
-    return SymplecticMatrix._of(tuple(top + bottom))
+    return SymplecticMatrix._of(tuple(zip(*_inverse_cols(M.rows))))
 
 
 def _vJ(v: tuple) -> tuple:
     """The row v~J of a coordinate tuple v = (v_a, v_b): it is (v_b, -v_a)."""
     g = len(v) // 2
     return v[g:] + tuple(-x for x in v[:g])
+
+
+def _inverse_cols(rows: tuple) -> tuple:
+    """The columns of M^-1 = -J M~ J for the rows of a symplectic M: column j is
+    (row j+g)~J for j < g and -(row j-g)~J otherwise."""
+    g = len(rows) // 2
+    return (*map(_vJ, rows[g:]), *(tuple(-x for x in _vJ(row)) for row in rows[:g]))
 
 
 def pairing(u: HVector, v: HVector) -> int:

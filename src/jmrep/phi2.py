@@ -15,7 +15,9 @@ module throughout.
 
 phi2_eval_word does not scan eta's indices per letter: it adds the running
 y into one accumulator vector per generator (a C-level map over 2g
-coordinates) and reads eta off the accumulators once at the end.
+coordinates) and reads eta off the accumulators once at the end.  That loop
+is _phi2_raw, whose raw (eta dict, y tuple) pairs tau2_from_endo reads too.
+Closed operations build their results through the unchecked Phi2Element._of.
 """
 
 from __future__ import annotations
@@ -40,6 +42,14 @@ class Phi2Element:
         _check_genus(eta, y)
         self.eta = eta
         self.y = y
+
+    @classmethod
+    def _of(cls, eta: Wedge2, y: HVector) -> "Phi2Element":
+        """Trusted constructor: eta and y must be a Wedge2 and an HVector of one genus."""
+        p = object.__new__(cls)
+        p.eta = eta
+        p.y = y
+        return p
 
     @property
     def genus(self) -> int:
@@ -73,14 +83,14 @@ def phi2_mul(p: Phi2Element, q: Phi2Element) -> Phi2Element:
     if not (isinstance(p, Phi2Element) and isinstance(q, Phi2Element)):
         names = f"{type(p).__name__} * {type(q).__name__}"
         raise TypeError(f"phi2_mul needs two Phi2Elements, got {names}")
-    return Phi2Element(p.eta + q.eta + half_wedge2_of(p.y, q.y), p.y + q.y)
+    return Phi2Element._of(p.eta + q.eta + half_wedge2_of(p.y, q.y), p.y + q.y)
 
 
 def phi2_inv(p: Phi2Element) -> Phi2Element:
     """(eta, y)^-1 = (-eta, -y); the (1/2) y^y correction vanishes."""
     if not isinstance(p, Phi2Element):
         raise TypeError(f"phi2_inv needs a Phi2Element, got {type(p).__name__}")
-    return Phi2Element(-p.eta, -p.y)
+    return Phi2Element._of(-p.eta, -p.y)
 
 
 def phi2_eval_word(w: FreeWord) -> Phi2Element:
@@ -92,11 +102,17 @@ def phi2_eval_word(w: FreeWord) -> Phi2Element:
     acc[k] = the sum of sign*y over the letters of x_k, holds all of eta:
     the doubled p^q coefficient (p < q) is acc[q][p] - acc[p][q].
     """
-    g = w.genus
+    eta, y = _phi2_raw(w.genus, w.letters)
+    return Phi2Element._of(Wedge2._of(w.genus, eta), HVector._of(y))
+
+
+def _phi2_raw(g: int, letters) -> tuple:
+    """(eta's doubled coefficients as a canonical dict, y as a tuple) of phi_2
+    of the letters, by phi2_eval_word's accumulators."""
     n = 2 * g
     y = [0] * n
     acc = [None] * n
-    for s in w.letters:
+    for s in letters:
         k = abs(s) - 1
         a = acc[k]
         if s > 0:
@@ -114,7 +130,7 @@ def phi2_eval_word(w: FreeWord) -> Phi2Element:
             c = acc[q][p] - ap[q]
             if c:
                 eta[(p + 1, q + 1)] = c
-    return Phi2Element(Wedge2._of(g, eta), HVector._of(tuple(y)))
+    return eta, tuple(y)
 
 
 _index_pairs = cache(lambda n: list(combinations(range(1, n + 1), 2)))  # i < j, in order

@@ -37,14 +37,18 @@ kappa = kappa o R o R^-1, so the decoded homomorphism is computed as
 one precomposition with one inverse.  kappa(a_i) = -kappa(b_i) =
 (1/2) a_i^b_i, so Lambda^2 R o kappa takes a_i to (1/2) R a_i ^ R b_i, the
 2x2 minors of columns i and i+g of R, and b_i to its negative; kappa o R
-takes x_n to kappa of column n of R.
+takes x_n to kappa of column n of R.  tau2_from_endo reads the raw pairs
+(w_i, h_i) of phi2._phi2_raw and keeps the shifted images as plain dicts until
+their precomposition with the columns of R^-1, which linalg._inverse_cols reads
+off R's rows.  Closed operations build their results through the unchecked _of.
 """
 
 from __future__ import annotations
 
 from .errors import NotSymplectic
-from .linalg import SymplecticMatrix, _check_genus, _require_symplectic
-from .phi2 import Phi2Element, phi2_eval_word
+from .linalg import (SymplecticMatrix, _check_genus, _inverse_cols, _require_genus,
+                     _require_symplectic)
+from .phi2 import Phi2Element, _phi2_raw
 from .wedge import (
     HomHW2,
     Wedge2,
@@ -54,6 +58,7 @@ from .wedge import (
     _lambda2,
     _nonzero,
     _pair_minors,
+    _precomposed,
     _upper,
     kappa,
     sp_action_on_hom,
@@ -77,6 +82,14 @@ class Rho2Element:
         _check_genus(r, R)
         self.r = r
         self.R = R
+
+    @classmethod
+    def _of(cls, r: Wedge3, R: SymplecticMatrix) -> "Rho2Element":
+        """Trusted constructor: r and R must be a Wedge3 and a SymplecticMatrix of one genus."""
+        f = object.__new__(cls)
+        f.r = r
+        f.R = R
+        return f
 
     @property
     def genus(self) -> int:
@@ -110,7 +123,7 @@ def rho2_mul(f: Rho2Element, g: Rho2Element) -> Rho2Element:
     if not (isinstance(f, Rho2Element) and isinstance(g, Rho2Element)):
         names = f"{type(f).__name__} * {type(g).__name__}"
         raise TypeError(f"rho2_mul needs two Rho2Elements, got {names}")
-    return Rho2Element(f.r + wedge3_sp_action(f.R, g.r), f.R * g.R)
+    return Rho2Element._of(f.r + wedge3_sp_action(f.R, g.r), f.R * g.R)
 
 
 def rho2_inv(f: Rho2Element) -> Rho2Element:
@@ -118,7 +131,7 @@ def rho2_inv(f: Rho2Element) -> Rho2Element:
     if not isinstance(f, Rho2Element):
         raise TypeError(f"rho2_inv needs a Rho2Element, got {type(f).__name__}")
     Rinv = f.R.inverse()
-    return Rho2Element(-wedge3_sp_action(Rinv, f.r), Rinv)
+    return Rho2Element._of(-wedge3_sp_action(Rinv, f.r), Rinv)
 
 
 def act_on_phi2(f: Rho2Element, p: Phi2Element) -> Phi2Element:
@@ -138,25 +151,27 @@ def act_on_phi2(f: Rho2Element, p: Phi2Element) -> Phi2Element:
     A = _lambda2(f.R._cols(), [*p.eta._twice.items(), *kappa(p.y)._twice.items()])
     for (i, j), t in kappa(Ry)._twice.items():
         A[i - 1][j - 1] -= t
-    return Phi2Element(Wedge2._of(p.genus, _upper(_contract(f.r._twice, Ry.coeffs, A))), Ry)
+    return Phi2Element._of(Wedge2._of(p.genus, _upper(_contract(f.r._twice, Ry.coeffs, A))), Ry)
 
 
-def tau2_tilde_from_endo(endo: EndomorphismSpec):
-    """Raw degree-two data of an endomorphism.
-
-    Evaluates phi_2 on each generator image, giving pairs (w_i, h_i);
-    returns (W, R) where W: x_i -> w_i is a HomHW2 and R is the matrix
-    with columns h_i.  Raises NotSymplectic if R fails the symplectic
-    identity.
-    """
-    pairs = [phi2_eval_word(w) for w in endo.images]
-    # phi2_eval_word computed the columns: only M J M~ = J is left to check
-    R = SymplecticMatrix._of(tuple(zip(*(p.y.coeffs for p in pairs))))
+def _raw_pairs(endo: EndomorphismSpec):
+    """The raw phi_2 pairs (eta dict, y tuple) of the generator images, and the
+    matrix R with columns y: only M J M~ = J is left to check."""
+    pairs = [_phi2_raw(endo.genus, w.letters) for w in endo.images]
+    R = SymplecticMatrix._of(tuple(zip(*(y for _, y in pairs))))
     try:
         _require_symplectic(R)
     except NotSymplectic as exc:
         raise NotSymplectic(f"endomorphism abelianization is not symplectic: {exc}") from exc
-    return HomHW2(tuple(p.eta for p in pairs)), R
+    return pairs, R
+
+
+def tau2_tilde_from_endo(endo: EndomorphismSpec):
+    """Raw degree-two data of an endomorphism: (W, R), where (w_i, h_i) is phi_2
+    of generator image i, W: x_i -> w_i is a HomHW2 and R is the matrix with
+    columns h_i.  Raises NotSymplectic if R fails the symplectic identity."""
+    pairs, R = _raw_pairs(endo)
+    return HomHW2._of(R.genus, tuple(Wedge2._of(R.genus, eta) for eta, _ in pairs)), R
 
 
 def tau2_from_endo(endo: EndomorphismSpec) -> Rho2Element:
@@ -166,19 +181,18 @@ def tau2_from_endo(endo: EndomorphismSpec) -> Rho2Element:
     docstring) into (1/2)W3(H).  Raises NotSymplectic or NotInWedge3 when
     the input does not act like a mapping class at this level.
     """
-    W, R = tau2_tilde_from_endo(endo)
+    pairs, R = _raw_pairs(endo)
     g = R.genus
-    cols = R._cols()
     # (Lambda^2 R o kappa)(a_i) = (1/2) R a_i ^ R b_i = -(Lambda^2 R o kappa)(b_i)
-    halves = [_pair_minors(cols[i], cols[i + g]) for i in range(g)]
+    halves = [_pair_minors(pairs[i][1], pairs[i + g][1]) for i in range(g)]
     shifted = []
-    for n, (w, col) in enumerate(zip(W.images, cols)):
-        acc = dict(w._twice)
+    for n, (acc, col) in enumerate(pairs):  # each eta dict is this call's own
         sign = -1 if n < g else 1
         for key, t in halves[n % g].items():
             acc[key] = acc.get(key, 0) + sign * t
-        shifted.append(Wedge2._of(g, _nonzero(_add_kappa(acc, col))))  # + kappa(R x_n)
-    return Rho2Element(wedge3_decode(HomHW2(shifted).precompose(R.inverse())), R)
+        shifted.append(_nonzero(_add_kappa(acc, col)))  # + kappa(R x_n)
+    m = HomHW2._of(g, _precomposed(g, shifted, _inverse_cols(R.rows)))
+    return Rho2Element._of(wedge3_decode(m), R)
 
 
 def principal_crossed_hom(m: HomHW2, R: SymplecticMatrix) -> HomHW2:
@@ -189,6 +203,7 @@ def principal_crossed_hom(m: HomHW2, R: SymplecticMatrix) -> HomHW2:
 def morita_shift(genus: int) -> Wedge3:
     """The comparison element -(1/2) (sum_k x_k) ^ (sum_i a_i ^ b_i), term by term:
     Wedge3 sorts and signs each x_k^a_i^b_i and drops those with k = i or i + g."""
+    _require_genus(genus)
     return Wedge3(genus, [((k, i, i + genus), -1) for i in range(1, genus + 1)
                           for k in range(1, 2 * genus + 1)])
 

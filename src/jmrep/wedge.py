@@ -10,7 +10,8 @@ structural equality.  The public constructors check and canonicalize their
 input, the one place (JSON decoding included) that does: index tuples may come
 in any order, x_j^x_i = -x_i^x_j, and a repeated index gives 0.  Closed
 operations build their results through the unchecked _Wedge._of and must
-themselves drop the zeros that cancellation creates.
+themselves drop the zeros that cancellation creates; those on HomHW2 build
+theirs through HomHW2._of.
 
 The bridge between W3(H) and Hom(H, (1/2)W2(H)) is
 
@@ -281,6 +282,14 @@ class HomHW2:
         self.images = _check_images(self.genus, images, Wedge2)
 
     @classmethod
+    def _of(cls, genus: int, images: tuple) -> "HomHW2":
+        """Trusted constructor: `images` must be a tuple of 2g Wedge2s of this genus."""
+        m = object.__new__(cls)
+        m.genus = genus
+        m.images = images
+        return m
+
+    @classmethod
     def zero(cls, genus: int) -> "HomHW2":
         _require_genus(genus)
         return cls(tuple(Wedge2.zero(genus) for _ in range(2 * genus)))
@@ -288,23 +297,16 @@ class HomHW2:
     def precompose(self, M: IntMatrix) -> "HomHW2":
         """The homomorphism m o M, i.e. x_n -> m(M x_n)."""
         _check_genus(self, M)
-        new = []
-        for col in M._cols():
-            acc = {}
-            for c, img in zip(col, self.images):
-                if c:
-                    for key, t in img._twice.items():
-                        acc[key] = acc.get(key, 0) + c * t
-            new.append(Wedge2._of(self.genus, _nonzero(acc)))
-        return HomHW2(new)
+        images = [w._twice for w in self.images]
+        return HomHW2._of(self.genus, _precomposed(self.genus, images, M._cols()))
 
     def __add__(self, other: "HomHW2") -> "HomHW2":
         _check_operand(self, other)
-        return HomHW2(a + b for a, b in zip(self.images, other.images))
+        return HomHW2._of(self.genus, tuple(a + b for a, b in zip(self.images, other.images)))
 
     def __sub__(self, other: "HomHW2") -> "HomHW2":
         _check_operand(self, other)
-        return HomHW2(a - b for a, b in zip(self.images, other.images))
+        return HomHW2._of(self.genus, tuple(a - b for a, b in zip(self.images, other.images)))
 
     def is_zero(self) -> bool:
         return all(w.is_zero() for w in self.images)
@@ -326,6 +328,20 @@ class HomHW2:
             for i, w in enumerate(self.images)
         )
         return f"HomHW2({body})"
+
+
+def _precomposed(genus: int, images: list, cols) -> tuple:
+    """The images of m o M, given the doubled coefficients images[n] of m(x_(n+1))
+    and the columns of M: one Wedge2 m(c) for each column c."""
+    out = []
+    for col in cols:
+        acc = {}
+        for c, img in zip(col, images):
+            if c:
+                for key, t in img.items():
+                    acc[key] = acc.get(key, 0) + c * t
+        out.append(Wedge2._of(genus, _nonzero(acc)))
+    return tuple(out)
 
 
 def kappa_hom(genus: int) -> HomHW2:
@@ -394,7 +410,7 @@ def wedge3_embed(r: Wedge3) -> HomHW2:
             images[j - g - 1][(i, k)] = -t
         else:
             images[j + g - 1][(i, k)] = t
-    return HomHW2(tuple(Wedge2._of(g, d) for d in images))
+    return HomHW2._of(g, tuple(Wedge2._of(g, d) for d in images))
 
 
 def _lambda2(cols, terms):
@@ -504,7 +520,7 @@ def sp_action_on_hom(R: SymplecticMatrix, m: HomHW2) -> HomHW2:
     checks genus."""
     if not isinstance(R, SymplecticMatrix):
         raise TypeError("sp_action_on_hom needs a SymplecticMatrix")
-    pushed = HomHW2(tuple(wedge2_sp_action(R, w) for w in m.images))
+    pushed = HomHW2._of(m.genus, tuple(wedge2_sp_action(R, w) for w in m.images))
     return pushed.precompose(R.inverse())
 
 

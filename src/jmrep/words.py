@@ -10,12 +10,15 @@ The public FreeWord constructor checks every letter.  Closed operations
 build their results through the unchecked FreeWord._of: their letters come
 from words already checked, so the letters tuple stays within +-2g.
 
-endo_apply pushes each letter's image as a block onto a freely reduced
-stack: the freely reduced image cancels against the stack top only at the
-junction, so the stack after each letter is the reduced form of the prefix
-substituted so far.  Free reduction is unique, so these partial stacks, and
-the letter at which a max_letters budget trips, are those of pushing the raw
-images letter by letter.
+_substitute, the one loop of endo_apply and endo_compose, pushes each
+letter's image as a block onto a freely reduced stack: the freely reduced
+image cancels against the stack top only at the junction, so the stack after
+each letter is the reduced form of the prefix substituted so far.  Free
+reduction is unique, so these partial stacks, and the letter at which a
+max_letters budget trips, are those of pushing the raw images letter by
+letter.  Images never change, so a spec keeps its reduced signed images in
+the private slot _table, like IntMatrix._odd_E, which takes no part in
+equality, hashing or repr.  endo_compose builds through EndomorphismSpec._of.
 
 The distinguished boundary word is the product of commutators
 [alpha_1, beta_1] ... [alpha_g, beta_g]; an endomorphism spec that fixes
@@ -123,14 +126,25 @@ def word_reduce(w: FreeWord) -> FreeWord:
 class EndomorphismSpec:
     """An endomorphism of the free group, given by the images of xi_1..xi_2g."""
 
-    __slots__ = ("genus", "images")
+    __slots__ = ("genus", "images", "_table")
 
     def __init__(self, genus: int, images: Iterable[FreeWord]):
         self.images = _check_images(genus, tuple(images), FreeWord)
         self.genus = genus
+        self._table = None
+
+    @classmethod
+    def _of(cls, genus: int, images: tuple) -> "EndomorphismSpec":
+        """Trusted constructor: `images` must be a tuple of 2g FreeWords of this genus."""
+        e = object.__new__(cls)
+        e.genus = genus
+        e.images = images
+        e._table = None
+        return e
 
     @classmethod
     def identity(cls, genus: int) -> "EndomorphismSpec":
+        _require_genus(genus)
         return cls(genus, tuple(FreeWord.generator(genus, k) for k in range(1, 2 * genus + 1)))
 
     @classmethod
@@ -165,23 +179,15 @@ class EndomorphismSpec:
         return f"EndomorphismSpec(g={self.genus}: {body})"
 
 
-def endo_apply(e: EndomorphismSpec, w: FreeWord, max_letters: int | None = None,
-               *, _table: list | None = None) -> FreeWord:
-    """Apply the substitution to a word and freely reduce the result.
-
-    Each letter's reduced image is pushed as one block (see the module
-    docstring); if the stack ever exceeds max_letters the function raises
-    WordLengthExceeded.
-
-    _table[s] is the reduced image of the signed letter s, or None until s
-    first occurs; a list of 4g + 1 slots serves s and -s through Python's
-    negative indices.  endo_compose shares one table across its
-    substitutions.
-    """
-    _check_genus(e, w)
-    table = [None] * (4 * e.genus + 1) if _table is None else _table
+def _substitute(e: EndomorphismSpec, letters, max_letters: int | None) -> tuple:
+    """The reduced image of the letters under e, or WordLengthExceeded once the
+    stack exceeds max_letters.  e._table[s], None until s first occurs, is the
+    reduced image of the signed letter s; a negative s indexes from the end."""
+    table = e._table
+    if table is None:
+        table = e._table = [None] * (4 * e.genus + 1)
     stack = []
-    for s in w.letters:
+    for s in letters:
         img = table[s]
         if img is None:
             img = e.images[abs(s) - 1].letters
@@ -199,10 +205,15 @@ def endo_apply(e: EndomorphismSpec, w: FreeWord, max_letters: int | None = None,
         else:
             stack.extend(img)
         if max_letters is not None and len(stack) > max_letters:
-            raise WordLengthExceeded(
-                f"substitution exceeded {max_letters} letters"
-            )
-    return FreeWord._of(w.genus, tuple(stack))
+            raise WordLengthExceeded(f"substitution exceeded {max_letters} letters")
+    return tuple(stack)
+
+
+def endo_apply(e: EndomorphismSpec, w: FreeWord, max_letters: int | None = None) -> FreeWord:
+    """Apply the substitution to a word and freely reduce the result; raises
+    WordLengthExceeded if the reduced stack ever exceeds max_letters."""
+    _check_genus(e, w)
+    return FreeWord._of(w.genus, _substitute(e, w.letters, max_letters))
 
 
 def endo_compose(e1: EndomorphismSpec, e2: EndomorphismSpec,
@@ -210,15 +221,13 @@ def endo_compose(e1: EndomorphismSpec, e2: EndomorphismSpec,
     """The composite 'apply e2 first, then e1'.
 
     Its images are endo_apply(e1, e2.images[n]), matching the convention
-    that matrices act on column vectors on the left.  The 2g substitutions
-    share one table of e1's reduced signed images.
+    that matrices act on column vectors on the left; max_letters bounds each
+    image as in endo_apply.
     """
     _check_genus(e1, e2)
-    table = [None] * (4 * e1.genus + 1)
-    return EndomorphismSpec(
-        e1.genus,
-        tuple(endo_apply(e1, w, max_letters=max_letters, _table=table) for w in e2.images),
-    )
+    g = e1.genus
+    return EndomorphismSpec._of(
+        g, tuple(FreeWord._of(g, _substitute(e1, w.letters, max_letters)) for w in e2.images))
 
 
 def boundary_word(genus: int) -> FreeWord:

@@ -32,6 +32,7 @@ from jmrep import (
     half_wedge2_of,
     kappa_hom,
     make_J,
+    morita_shift,
     pairing,
     symplectic_inverse,
     torelli_handlebody_basis,
@@ -112,6 +113,8 @@ GENUS_RULE = {  # genus -> a call that takes a genus of its own
     "catalog": catalog,
     "HomHW2.zero": HomHW2.zero,
     "kappa_hom": kappa_hom,
+    "EndomorphismSpec.identity": EndomorphismSpec.identity,
+    "morita_shift": morita_shift,
 }
 
 
@@ -282,6 +285,8 @@ TEST_ONLY_FUNCTIONS = {
     "wedge3_apply": "r(y), the paper's induced homomorphism, which acceptance check 9 evaluates",
     "morita_tau2_prime": "the paper's comparison with Morita's tau2' (acceptance check 9)",
     "principal_crossed_hom": "the paper's comparison with Morita's tau2' (acceptance check 9)",
+    "tau2_tilde_from_endo": "W and R, the paper's raw degree-two data; the tau2 oracle in "
+                            "test_pipeline_kernels starts from it",
 }
 
 

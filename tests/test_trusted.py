@@ -1,13 +1,16 @@
 """Closed operations build their results through the private trusted
-constructors (_Wedge._of, HVector._of, IntMatrix._of, FreeWord._of) and skip
+constructors (_Wedge._of, HVector._of, IntMatrix._of, FreeWord._of,
+EndomorphismSpec._of, Phi2Element._of, Rho2Element._of, HomHW2._of) and skip
 validation.
 
 The first tests check that every such result is still in canonical form: it
 equals its copy rebuilt through the public constructor and holds no zero
-coefficient; the columns of a matrix equal zip(*rows).  The last three check
-that the hot paths really skip validation, that the JSON decoders leave each
-entry to its public constructor, which checks it once, and that they leave
-genus agreement to the constructor of the pair or endomorphism.
+coefficient; the columns of a matrix equal zip(*rows); the table a spec keeps
+holds its reduced signed images and is ignored like a matrix's odd set.  The
+last three check that the hot paths really skip validation, that the JSON
+decoders leave each entry to its public constructor, which checks it once, and
+that they leave genus agreement to the constructor of the pair or
+endomorphism.
 """
 
 import random
@@ -17,6 +20,8 @@ import pytest
 
 import jmrep.jsonio as jsonio
 import jmrep.linalg as linalg
+import jmrep.phi2 as phi2
+import jmrep.rho2 as rho2
 import jmrep.wedge as wedge
 import jmrep.words as words
 from jmrep import (
@@ -60,9 +65,12 @@ from jmrep import (
     make_J,
     mcg_membership,
     phi2_eval_word,
+    phi2_inv,
+    phi2_mul,
     preserves_phi2_b,
     rho2_inv,
     rho2_mul,
+    sp_action_on_hom,
     symplectic_check,
     symplectic_inverse,
     tau2_from_endo,
@@ -188,6 +196,57 @@ def test_columns_match_the_rows_and_the_odd_set_slot_is_ignored(g):
         assert M == bare and hash(M) == hash(bare) and repr(M) == repr(bare)
 
 
+def closed_results(name, rng, g):
+    """The results of the closed operations that build through name's _of."""
+    f, f2 = rand_member(rng, g), rand_member(rng, g)
+    p, q = rand_pi_point(rng, g), rand_pi_point(rng, g)
+    m, m2 = (HomHW2(rand_wedge2(rng, g, bound=1) for _ in range(2 * g)) for _ in range(2))
+    e, e2 = rng.sample(catalog_specs(g), 2)
+    return {
+        "EndomorphismSpec": lambda: [endo_compose(e, e2), endo_compose(e2, e)],
+        "Phi2Element": lambda: [phi2_eval_word(rand_word(rng, g)), phi2_mul(p, q), phi2_inv(p),
+                                act_on_phi2(f, p)],
+        "Rho2Element": lambda: [rho2_mul(f, f2), rho2_inv(f), tau2_from_endo(endo_compose(e, e2))],
+        "HomHW2": lambda: [m.precompose(f.R), m + m2, m - m2, wedge3_embed(f.r),
+                           sp_action_on_hom(f.R, m)],
+    }[name]()
+
+
+REBUILD = {  # a value rebuilt through its public constructors
+    "EndomorphismSpec": lambda e: EndomorphismSpec(e.genus, (FreeWord(w.genus, w.letters)
+                                                             for w in e.images)),
+    "Phi2Element": lambda p: Phi2Element(Wedge2(p.genus, dict(p.eta._twice)), HVector(p.y.coeffs)),
+    "Rho2Element": lambda f: Rho2Element(Wedge3(f.genus, dict(f.r._twice)),
+                                         SymplecticMatrix(f.R.rows)),
+    "HomHW2": lambda m: HomHW2(Wedge2(w.genus, dict(w._twice)) for w in m.images),
+}
+
+
+@pytest.mark.parametrize("name", REBUILD)
+def test_trusted_results_equal_their_validated_rebuilds(name):
+    rng = random.Random(820)
+    for g in (2, 3):
+        for x in closed_results(name, rng, g):
+            assert type(x).__name__ == name
+            assert REBUILD[name](x) == x and x.genus == g
+
+
+def test_the_kept_table_is_ignored_and_holds_the_reduced_signed_images():
+    e = EndomorphismSpec.from_letter_lists(2, [[1, 2, -2], [-3, 3, 2, 1, -1], [], [4, -1, 1]])
+    bare = EndomorphismSpec(2, e.images)
+    assert e._table is None
+    endo_apply(e, FreeWord(2, [1, -2]))
+    endo_compose(e, EndomorphismSpec.from_letter_lists(2, [[3], [-4, 1], [1], [2]]))
+    assert e == bare and hash(e) == hash(bare) and repr(e) == repr(bare)
+    used = {1, -2, 3, -4, 2}
+    for s in (-4, -3, -2, -1, 1, 2, 3, 4):
+        image = word_reduce(e.images[abs(s) - 1])
+        want = (image if s > 0 else image.inverse()).letters if s in used else None
+        assert e._table[s] == want
+    assert len(e._table) == 4 * 2 + 1
+    assert endo_compose(e, e)._table is None
+
+
 def test_closed_operations_do_not_revalidate(monkeypatch):
     rng = random.Random(800)
     g = 3
@@ -206,10 +265,16 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
     monkeypatch.setattr(linalg, "_as_int_tuple", refuse)
     monkeypatch.setattr(linalg, "_symplectic_defect", refuse)  # every M J M~ = J check
     monkeypatch.setattr(words, "_check_letters", refuse)
+    for module in (linalg, wedge, words):  # every image-list check
+        monkeypatch.setattr(module, "_check_images", refuse)
 
     rho2_mul(f, f2)
     rho2_inv(f)
     act_on_phi2(f, p)
+    phi2_mul(p, p)
+    phi2_inv(p)
+    for hom in (m + m, m - m, m.precompose(f.R), sp_action_on_hom(f.R, m)):
+        assert hom.genus == g
     compute_E(f.R)
     canonical_lift(f2.R)
     mcg_membership(f)
@@ -227,6 +292,14 @@ def test_closed_operations_do_not_revalidate(monkeypatch):
     monkeypatch.setattr(linalg, "_symplectic_defect", real_symplectic_defect)
     tau2_from_endo(e)
     assert validate_entry(entry).passed
+
+    # nor do the pair constructors' own checks run: the types and genus agreement
+    monkeypatch.setattr(phi2, "_check_genus", refuse)
+    monkeypatch.setattr(rho2, "_check_genus", refuse)
+    for op, args in [(rho2_mul, (f, f2)), (rho2_inv, (f,)), (act_on_phi2, (f, p)),
+                     (phi2_mul, (p, p)), (phi2_inv, (p,)), (phi2_eval_word, (word,)),
+                     (tau2_from_endo, (endo_compose(e, e2),))]:
+        assert op(*args).genus == g
 
 
 def test_decoders_validate_each_value_once(monkeypatch):
